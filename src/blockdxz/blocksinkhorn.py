@@ -5,10 +5,16 @@ built from inverse polar factors of the block row sums, then right-multiplies
 by a block-diagonal R_t built the same way from the block column sums, driving
 every block line sum of X_t toward the identity.  Progress is monitored by
 psi(M) = n^2 - |Btr(M)|^2, which is zero exactly on the unit-line-sum group.
+
+The sweep keeps L_t, R_t and the accumulated D and Z as (r, m, m) stacks of
+their diagonal blocks and applies them as batched matmuls on the (r, m, n)
+and (r, n, m) views of X; n x n block-diagonal matrices are built only for
+the returned D and Z and for sinkhorn_step's dense factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +45,8 @@ class IterationConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.psi_tol <= 0:
-            raise ValueError("psi_tol must be positive")
+        if not (math.isfinite(self.psi_tol) and self.psi_tol > 0):
+            raise ValueError("psi_tol must be positive and finite")
 
 
 @dataclass
@@ -67,8 +73,7 @@ def block_trace(mat, p: BlockPartition) -> complex:
     mat = as_matrix(mat)
     if mat.shape != (p.n, p.n):
         raise ValueError(f"matrix shape {mat.shape} does not match partition n={p.n}")
-    intra = np.arange(p.n) % p.m
-    return complex(mat[intra[:, None] == intra[None, :]].sum())
+    return complex(np.einsum("jaka->", mat.reshape(p.r, p.m, p.r, p.m)))
 
 
 def psi(mat, p: BlockPartition) -> float:
@@ -85,9 +90,37 @@ def _col_sums(x: np.ndarray, p: BlockPartition) -> np.ndarray:
     return x.reshape(p.r, p.m, p.r, p.m).sum(axis=0).transpose(1, 0, 2)
 
 
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _block_diag(stack: np.ndarray) -> np.ndarray:
+    """The n x n block-diagonal matrix with the (r, m, m) stack on its diagonal."""
+    r, m, _ = stack.shape
+    out = np.zeros((r, m, r, m), dtype=complex)
+    j = np.arange(r)
+    out[j, :, j, :] = stack
+    return out.reshape(r * m, r * m)
+
+
+def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):
+    """One bilateral sweep on block stacks; returns the diagonal blocks of L_t
+    and R_t as (r, m, m) stacks and X_t = L_t x R_t."""
+    m, r, n = p.m, p.r, p.n
+    phis, _ = polar_unitary_batch(_row_sums(x, p), cfg)
+    lt = _adjoints(phis)
+    y = (lt @ x.reshape(r, m, n)).reshape(n, n)
+
+    upsilons, singular = polar_unitary_batch(_col_sums(y, p), cfg)
+    rt = _adjoints(upsilons) @ upsilons[0]
+    rt[singular] = np.eye(m)
+    x_next = y.reshape(n, r, m).transpose(1, 0, 2) @ rt
+    return lt, rt, x_next.transpose(1, 0, 2).reshape(n, n)
+
+
 def sinkhorn_step(x_prev, p: BlockPartition, cfg: PolarConfig = PolarConfig()):
     """One bilateral normalization sweep; returns (L_t, R_t, X_t) with
-    X_t = L_t @ x_prev @ R_t.
+    X_t = L_t @ x_prev @ R_t, the factors as dense n x n matrices.
 
     (L_t)_jj is the inverse unitary polar factor of block row sum j of x_prev;
     (R_t)_kk is Upsilon_k^{-1} Upsilon_1 from the block column sums of
@@ -97,29 +130,14 @@ def sinkhorn_step(x_prev, p: BlockPartition, cfg: PolarConfig = PolarConfig()):
     x_prev = as_matrix(x_prev)
     if x_prev.shape != (p.n, p.n):
         raise ValueError(f"matrix shape {x_prev.shape} does not match partition n={p.n}")
-    m, r, n = p.m, p.r, p.n
-
-    phis, _ = polar_unitary_batch(_row_sums(x_prev, p), cfg)
-    left = np.zeros((n, n), dtype=complex)
-    for j in range(r):
-        left[j * m : (j + 1) * m, j * m : (j + 1) * m] = phis[j].conj().T
-
-    y = left @ x_prev
-
-    upsilons, singular = polar_unitary_batch(_col_sums(y, p), cfg)
-    ups1 = upsilons[0]
-    right = np.zeros((n, n), dtype=complex)
-    for k in range(r):
-        blockk = np.eye(m) if singular[k] else upsilons[k].conj().T @ ups1
-        right[k * m : (k + 1) * m, k * m : (k + 1) * m] = blockk
-
-    return left, right, y @ right
+    lt, rt, x = _sweep(x_prev, p, cfg)
+    return _block_diag(lt), _block_diag(rt), x
 
 
 def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecomposition:
-    """Iterate sinkhorn_step from X_0 = U until psi <= cfg.psi_tol or
-    cfg.max_iter sweeps, accumulating D = (L_t ... L_1)^H and
-    Z = (R_1 ... R_t)^H.
+    """Iterate the sweep of sinkhorn_step from X_0 = U until psi <= cfg.psi_tol
+    or cfg.max_iter sweeps, accumulating D = (L_t ... L_1)^H and
+    Z = (R_1 ... R_t)^H block by block.
 
     Non-convergence is reported, not raised: the decomposition is returned
     with converged=False and still reconstructs U exactly.
@@ -138,21 +156,21 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
         return DxzDecomposition(u.copy(), eye, eye.copy(), p, [(0, psi(eye, p))], True, 0)
 
     x = u.copy()
-    lacc = np.eye(n, dtype=complex)
-    racc = np.eye(n, dtype=complex)
+    lacc = np.tile(np.eye(m, dtype=complex), (p.r, 1, 1))
+    racc = lacc.copy()
     trace = [(0, psi(x, p))]
     t = 0
     while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
         t += 1
-        lt, rt, x = sinkhorn_step(x, p, cfg.polar)
+        lt, rt, x = _sweep(x, p, cfg.polar)
         lacc = lt @ lacc
         racc = racc @ rt
         trace.append((t, psi(x, p)))
 
     return DxzDecomposition(
-        D=lacc.conj().T,
+        D=_block_diag(_adjoints(lacc)),
         X=x,
-        Z=racc.conj().T,
+        Z=_block_diag(_adjoints(racc)),
         partition=p,
         psi_trace=trace,
         converged=trace[-1][1] <= cfg.psi_tol,

@@ -126,16 +126,16 @@ def _verify_tolerance(dec: DxzDecomposition) -> float:
     return max(1e-8, 10.0 * psi_final, 10.0 * (psi_final / dec.partition.n) ** 0.5)
 
 
-def _decomposition_report(args, u, dec: DxzDecomposition, started: float) -> RunReport:
-    verification = verify_decomposition(u, dec, _verify_tolerance(dec))
+def _run_report(args, p: BlockPartition, residuals: dict, converged: bool, started: float,
+                psi_trace=()) -> RunReport:
     return RunReport(
-        command=" ".join(sys.argv[1:]) if args.echo is None else args.echo,
+        command=" ".join(args.argv) if args.echo is None else args.echo,
         input_digest=_digest(args.input),
-        partition={"n": dec.partition.n, "m": dec.partition.m, "r": dec.partition.r, "q": dec.partition.q},
+        partition={"n": p.n, "m": p.m, "r": p.r, "q": p.q},
         config=_config_dict(_iteration_config(args)),
-        psi_trace=[[t, value] for t, value in dec.psi_trace],
-        residuals=verification.as_dict(),
-        converged=dec.converged,
+        psi_trace=[[t, value] for t, value in psi_trace],
+        residuals=residuals,
+        converged=converged,
         wall_time_s=time.perf_counter() - started,
     )
 
@@ -159,7 +159,8 @@ def cmd_decompose(args) -> int:
     save_matrix(outdir / "D.json", dec.D)
     save_matrix(outdir / "X.json", dec.X)
     save_matrix(outdir / "Z.json", dec.Z)
-    report = _decomposition_report(args, u, dec, started)
+    verification = verify_decomposition(u, dec, _verify_tolerance(dec))
+    report = _run_report(args, dec.partition, verification.as_dict(), dec.converged, started, dec.psi_trace)
     (outdir / "report.json").write_text(report.to_json())
     _emit_report(args, report)
     return EXIT_OK if dec.converged else EXIT_NOT_CONVERGED
@@ -168,9 +169,7 @@ def cmd_decompose(args) -> int:
 def cmd_trace(args) -> int:
     u = _load_unitary(args.input)
     _partition(u.shape[0], args.m)
-    cfg = IterationConfig(max_iter=args.max_iter, psi_tol=args.psi_tol,
-                          polar=PolarConfig(newton_iters=args.polar_iters))
-    dec = decompose(u, args.m, cfg)
+    dec = decompose(u, args.m, _iteration_config(args))
     print(f"  t  psi (m={args.m})")
     for t, value in dec.psi_trace:
         print(f"{t:3d}  {value:.3f}")
@@ -256,15 +255,7 @@ def cmd_conjugate(args) -> int:
         "c_circulant": bool(is_block_circulant(conj.C, p)),
         "y_circulant": bool(is_block_circulant(conj.Y, p)),
     }
-    report = RunReport(
-        command=" ".join(sys.argv[1:]) if args.echo is None else args.echo,
-        input_digest=_digest(args.input),
-        partition={"n": p.n, "m": p.m, "r": p.r, "q": p.q},
-        config=_config_dict(_iteration_config(args)),
-        residuals=residuals,
-        converged=conj.converged,
-        wall_time_s=time.perf_counter() - started,
-    )
+    report = _run_report(args, p, residuals, conj.converged, started)
     (outdir / "report.json").write_text(report.to_json())
     if args.json:
         print(report.to_json())
@@ -348,6 +339,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

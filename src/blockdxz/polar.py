@@ -1,13 +1,17 @@
 """Unitary polar factor of a small complex matrix.
 
-The production route is Newton averaging (Heron's method applied to
-matrices): Y_0 = M, Y_{k+1} = (Y_k + (Y_k^H)^{-1}) / 2, which converges to
-the unitary factor of M = Phi P.  A slower eigendecomposition route is kept
-as an independent cross-check for tests.
+The factor Phi of M = Phi P is taken from one singular value decomposition
+M = W S V^H as Phi = W V^H.  This is the same matrix to which the paper's
+Newton averaging Y_{k+1} = (Y_k + (Y_k^H)^{-1}) / 2 converges (Higham 1986,
+"Computing the polar decomposition - with applications"), reached without
+iterating and batched over a stack of blocks, and the singular values of the
+same call decide whether a block is singular.  An eigendecomposition route
+is kept as an independent cross-check for tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,18 +21,26 @@ from .matcore import as_matrix
 
 __all__ = ["PolarConfig", "PolarResult", "polar_unitary", "polar_oracle"]
 
-# Extra Newton sweeps allowed past cfg.newton_iters when the iterate is still
-# far from unitary (badly conditioned input); keeps the factor within the
-# 1e-8 unitarity contract without touching well-conditioned trajectories.
-_GUARD_TOL = 1e-12
-_GUARD_EXTRA = 60
-
 
 @dataclass(frozen=True)
 class PolarConfig:
+    """Polar-kernel settings.
+
+    sing_tol: a block whose smallest singular value lies below it counts as
+    singular.  newton_iters and refine are validated and recorded (the CLI's
+    --polar-iters writes newton_iters into report.json) but no longer change
+    the result: the SVD factor is the Newton limit itself.
+    """
+
     newton_iters: int = 10
     sing_tol: float = 1e-10
     refine: bool = False
+
+    def __post_init__(self):
+        if self.newton_iters < 1:
+            raise ValueError("newton_iters must be >= 1")
+        if not (math.isfinite(self.sing_tol) and self.sing_tol >= 0):
+            raise ValueError("sing_tol must be finite and non-negative")
 
 
 class PolarResult(NamedTuple):
@@ -36,101 +48,38 @@ class PolarResult(NamedTuple):
     singular: bool
 
 
+def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary polar factors of a stack of square matrices.
+
+    Returns (factors, singular) with factors shaped like mats and singular a
+    boolean vector.  A slice whose smallest singular value falls below
+    cfg.sing_tol has no well-defined factor and gets the identity.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
+        raise ValueError("polar_unitary_batch needs a (count, m, m) stack")
+    w, svals, vh = np.linalg.svd(mats)
+    singular = svals[:, -1] < cfg.sing_tol
+    factors = w @ vh
+    factors[singular] = np.eye(mats.shape[-1])
+    return factors, singular
+
+
 def polar_unitary(mat, side: str = "left", cfg: PolarConfig = PolarConfig()) -> PolarResult:
     """Unitary factor Phi of M = Phi P (side="left") or Upsilon of M = Q Upsilon
     (side="right").
 
     Both sides share the same unitary factor, so the flag only mirrors the two
-    notations in which callers work.  A matrix whose smallest singular value
-    falls below cfg.sing_tol has no well-defined factor; then the identity is
-    returned with singular=True.  Inversion breakdown is treated the same way,
-    never raised.
+    notations in which callers work.  A singular matrix (see
+    polar_unitary_batch) gives the identity with singular=True, never an error.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     mat = as_matrix(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("polar_unitary needs a square matrix")
-    m = mat.shape[0]
-    eye = np.eye(m)
-
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError:
-        return PolarResult(eye, True)
-    # smallest singular value of M = 1 / ||M^-1||_2
-    smin = 1.0 / np.linalg.norm(inv, 2)
-    if smin < cfg.sing_tol:
-        return PolarResult(eye, True)
-
-    y = mat
-    max_steps = 100 if cfg.refine else cfg.newton_iters + _GUARD_EXTRA
-    for step in range(max_steps):
-        try:
-            y_next = 0.5 * (y + np.linalg.inv(y.conj().T))
-        except np.linalg.LinAlgError:
-            return PolarResult(eye, True)
-        delta = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if cfg.refine:
-            if delta <= 1e-14:
-                break
-        elif step + 1 >= cfg.newton_iters:
-            # past the nominal budget only while clearly non-unitary
-            if float(np.linalg.norm(y.conj().T @ y - eye)) <= _GUARD_TOL:
-                break
-        elif delta <= 1e-15 * max(1.0, float(np.linalg.norm(y))):
-            break  # already at the fixed point, further sweeps are no-ops
-    return PolarResult(y, False)
-
-
-def _batch_unitarity(y: np.ndarray) -> np.ndarray:
-    m = y.shape[-1]
-    gram = np.einsum("...ji,...jk->...ik", y.conj(), y)
-    return np.sqrt((np.abs(gram - np.eye(m)) ** 2).sum(axis=(-2, -1)))
-
-
-def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Newton polar factors of a stack of square matrices at once.
-
-    Returns (factors, singular) with factors shaped like mats and singular a
-    boolean vector; semantically one polar_unitary call per slice, batched so
-    the inner iteration engine stays fast at small block sizes.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
-        raise ValueError("polar_unitary_batch needs a (count, m, m) stack")
-    count, m = mats.shape[0], mats.shape[-1]
-    eye = np.eye(m)
-
-    svals = np.linalg.svd(mats, compute_uv=False)
-    singular = svals[:, -1] < cfg.sing_tol
-    y = mats.copy()
-    y[singular] = eye
-
-    try:
-        max_steps = 100 if cfg.refine else cfg.newton_iters + _GUARD_EXTRA
-        for step in range(max_steps):
-            y_next = 0.5 * (y + np.linalg.inv(np.conj(np.swapaxes(y, -2, -1))))
-            delta = float(np.max(np.abs(y_next - y)))
-            y = y_next
-            if cfg.refine:
-                if delta <= 1e-14:
-                    break
-            elif step + 1 >= cfg.newton_iters:
-                if float(np.max(_batch_unitarity(y))) <= _GUARD_TOL:
-                    break
-            elif delta <= 1e-15:
-                break
-    except np.linalg.LinAlgError:
-        # rare breakdown: redo slice by slice with the scalar-path semantics
-        factors = np.empty_like(mats)
-        for i in range(count):
-            factors[i], singular[i] = polar_unitary(mats[i], "left", cfg)
-        return factors, singular
-
-    y[singular] = eye
-    return y, singular
+    factors, singular = polar_unitary_batch(mat[None], cfg)
+    return PolarResult(factors[0], bool(singular[0]))
 
 
 def polar_oracle(mat) -> PolarResult:

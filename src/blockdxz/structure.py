@@ -176,21 +176,19 @@ def core_to_xu(g, p: BlockPartition) -> np.ndarray:
 
 
 def is_block_circulant(mat, p: BlockPartition, tol: float | None = None) -> bool:
-    """True iff blocks (j,k) and (j',k') agree within tol whenever
-    j - k = j' - k' (mod r).  Default tol is 1e-8 scaled by ||M||_F."""
+    """True iff every block (j, k) lies within tol (Frobenius norm) of block
+    (0, k - j mod r), the first-row block of its diagonal j - k (mod r).
+    Default tol is 1e-8 scaled by ||M||_F."""
     mat = as_matrix(mat)
     if mat.shape != (p.n, p.n):
         raise ValueError(f"matrix shape {mat.shape} does not match partition n={p.n}")
     if tol is None:
         tol = 1e-8 * float(np.linalg.norm(mat))
     blocks = mat.reshape(p.r, p.m, p.r, p.m).transpose(0, 2, 1, 3)
-    for d in range(p.r):
-        members = [blocks[j, (j - d) % p.r] for j in range(p.r)]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if float(np.linalg.norm(members[a] - members[b])) > tol:
-                    return False
-    return True
+    j = np.arange(p.r)
+    # diagonals[d, j] is block (j, j - d mod r)
+    diagonals = blocks[j[None, :], (j[None, :] - j[:, None]) % p.r]
+    return bool(np.all(np.linalg.norm(diagonals - diagonals[:, :1], axis=(2, 3)) <= tol))
 
 
 def conjugate_decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> ConjugateDecomposition:

@@ -7,11 +7,15 @@ from blockdxz import (
     Permutation,
     PolarConfig,
     RandomSpec,
+    block,
+    block_col_sum,
+    block_row_sum,
     block_trace,
     core_to_xu,
     decompose,
     haar_random_unitary,
     perm_dxz,
+    polar_oracle,
     psi,
     sinkhorn_step,
     verify_decomposition,
@@ -124,6 +128,49 @@ def test_gauge_factor_can_shed_block_trace():
     assert before - after > 1.0
     dec = decompose(u, 2, IterationConfig(max_iter=6000, psi_tol=1e-9))
     assert dec.converged  # a slow run (~5400 sweeps), but it gets there
+
+
+def reference_decompose(u, m, cfg):
+    """Dense reference for decompose: n x n L_t and R_t assembled block by
+    block from polar_oracle factors, psi from the r^2 block traces."""
+    p = BlockPartition(u.shape[0], m)
+    eye_n, eye_m = np.eye(p.n, dtype=complex), np.eye(p.m)
+
+    def ref_psi(x):
+        btr = sum(np.trace(block(x, p, j, k)) for j in range(1, p.r + 1) for k in range(1, p.r + 1))
+        return p.n**2 - abs(btr) ** 2
+
+    def block_diagonal(blocks):
+        out = np.zeros((p.n, p.n), dtype=complex)
+        for j, b in enumerate(blocks):
+            out[j * p.m : (j + 1) * p.m, j * p.m : (j + 1) * p.m] = b
+        return out
+
+    x, lacc, racc = u.copy(), eye_n, eye_n
+    trace = [ref_psi(x)]
+    while trace[-1] > cfg.psi_tol and len(trace) <= cfg.max_iter:
+        phis = [polar_oracle(block_row_sum(x, p, j)) for j in range(1, p.r + 1)]
+        left = block_diagonal(eye_m if singular else phi.conj().T for phi, singular in phis)
+        y = left @ x
+        upsilons = [polar_oracle(block_col_sum(y, p, k)) for k in range(1, p.r + 1)]
+        ups1 = upsilons[0][0]
+        right = block_diagonal(eye_m if singular else ups.conj().T @ ups1 for ups, singular in upsilons)
+        x, lacc, racc = y @ right, left @ lacc, racc @ right
+        trace.append(ref_psi(x))
+    return lacc.conj().T, x, racc.conj().T, trace
+
+
+def test_decompose_matches_dense_reference():
+    cfg = IterationConfig(max_iter=20)
+    for seed, (n, m) in enumerate([(4, 1), (4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (12, 4)]):
+        u = haar_random_unitary(RandomSpec(n, 700 + seed))
+        d, x, z, trace = reference_decompose(u, m, cfg)
+        dec = decompose(u, m, cfg)
+        assert np.linalg.norm(dec.X - x) <= 1e-10
+        assert np.linalg.norm(dec.D - d) <= 1e-10
+        assert np.linalg.norm(dec.Z - z) <= 1e-10
+        assert [t for t, _ in dec.psi_trace] == list(range(len(trace)))
+        assert np.max(np.abs(np.array([v for _, v in dec.psi_trace]) - trace)) <= 1e-10
 
 
 def test_decompose_identity():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -180,3 +181,26 @@ def test_conjugate_identity(tmp_path, capsys):
     assert np.linalg.norm(load_matrix(outdir / "C.json") - np.eye(6)) < 1e-12
     assert np.linalg.norm(load_matrix(outdir / "A.json") - np.eye(4)) < 1e-12
     assert np.linalg.norm(load_matrix(outdir / "Y.json") - np.eye(6)) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
+@pytest.mark.parametrize(
+    "flag",
+    [("--psi-tol", "nan"), ("--psi-tol", "inf"), ("--polar-iters", "0"), ("--polar-iters", "-3"),
+     ("--max-iter", "-1")],
+    ids=" ".join,
+)
+def test_bad_iteration_values_are_usage_errors(tmp_path, u6_file, command, flag):
+    argv = [command, u6_file, "--m", "2", *flag]
+    if command in ("decompose", "conjugate"):
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+
+
+def test_report_records_the_argv_given_to_main(tmp_path, u6_file, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-program", "extra-host-arg"])
+    for command in ("decompose", "conjugate"):
+        argv = [command, u6_file, "--m", "2", "--max-iter", "3", "-o", str(tmp_path / command)]
+        assert main(argv) in (EXIT_OK, EXIT_NOT_CONVERGED)
+        report = json.loads((tmp_path / command / "report.json").read_text())
+        assert report["command"] == " ".join(argv)

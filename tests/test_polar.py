@@ -117,3 +117,10 @@ def test_batch_matches_scalar_path():
         single, s = polar_unitary(mats[i])
         assert singular[i] == s
         assert np.linalg.norm(factors[i] - single) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"newton_iters": 0}, {"newton_iters": -3}, {"sing_tol": -1e-10},
+                                    {"sing_tol": float("nan")}, {"sing_tol": float("inf")}])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        PolarConfig(**kwargs)

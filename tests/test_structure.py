@@ -128,6 +128,9 @@ def test_is_block_circulant():
     d = block_diag(*(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)))
     t = fourier_transform(p)
     assert is_block_circulant(t @ d @ t.conj().T, p, 1e-10)
+    near = t @ d @ t.conj().T
+    near[4:6, 2:4] += 1e-6  # one block off its diagonal (2 - 1) by more than tol
+    assert not is_block_circulant(near, p, 1e-10)
 
 
 def test_conjugate_identity():
