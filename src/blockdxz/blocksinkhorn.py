@@ -15,11 +15,14 @@ the returned D and Z and for sinkhorn_step's dense factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matcore import BlockPartition, as_matrix
+from .matcore import (
+    BlockPartition, as_matrix, as_partitioned, block_diag, block_grid, col_sums, line_sum_residual,
+    off_block_norm, row_sums, unitarity_residual,
+)
 from .polar import PolarConfig, polar_unitary_batch
 
 __all__ = [
@@ -70,48 +73,36 @@ class DxzDecomposition:
 def block_trace(mat, p: BlockPartition) -> complex:
     """Sum of the traces of all r^2 blocks: entries whose row and column agree
     within their blocks."""
-    mat = as_matrix(mat)
-    if mat.shape != (p.n, p.n):
-        raise ValueError(f"matrix shape {mat.shape} does not match partition n={p.n}")
-    return complex(np.einsum("jaka->", mat.reshape(p.r, p.m, p.r, p.m)))
+    return _block_trace(as_partitioned(mat, p), p)
+
+
+def _block_trace(x: np.ndarray, p: BlockPartition) -> complex:
+    return complex(np.einsum("jkaa->", block_grid(x, p)))
 
 
 def psi(mat, p: BlockPartition) -> float:
     """Progress monitor n^2 - |Btr|^2; zero iff a unitary matrix has all block
     line sums equal to I (up to a global phase)."""
-    return float(p.n**2 - abs(block_trace(mat, p)) ** 2)
+    return _psi(as_partitioned(mat, p), p)
 
 
-def _row_sums(x: np.ndarray, p: BlockPartition) -> np.ndarray:
-    return x.reshape(p.r, p.m, p.r, p.m).sum(axis=2)
-
-
-def _col_sums(x: np.ndarray, p: BlockPartition) -> np.ndarray:
-    return x.reshape(p.r, p.m, p.r, p.m).sum(axis=0).transpose(1, 0, 2)
+def _psi(x: np.ndarray, p: BlockPartition) -> float:
+    return float(p.n**2 - abs(_block_trace(x, p)) ** 2)
 
 
 def _adjoints(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-def _block_diag(stack: np.ndarray) -> np.ndarray:
-    """The n x n block-diagonal matrix with the (r, m, m) stack on its diagonal."""
-    r, m, _ = stack.shape
-    out = np.zeros((r, m, r, m), dtype=complex)
-    j = np.arange(r)
-    out[j, :, j, :] = stack
-    return out.reshape(r * m, r * m)
-
-
 def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):
     """One bilateral sweep on block stacks; returns the diagonal blocks of L_t
     and R_t as (r, m, m) stacks and X_t = L_t x R_t."""
     m, r, n = p.m, p.r, p.n
-    phis, _ = polar_unitary_batch(_row_sums(x, p), cfg)
+    phis, _ = polar_unitary_batch(row_sums(x, p), cfg)
     lt = _adjoints(phis)
     y = (lt @ x.reshape(r, m, n)).reshape(n, n)
 
-    upsilons, singular = polar_unitary_batch(_col_sums(y, p), cfg)
+    upsilons, singular = polar_unitary_batch(col_sums(y, p), cfg)
     rt = _adjoints(upsilons) @ upsilons[0]
     rt[singular] = np.eye(m)
     x_next = y.reshape(n, r, m).transpose(1, 0, 2) @ rt
@@ -127,11 +118,8 @@ def sinkhorn_step(x_prev, p: BlockPartition, cfg: PolarConfig = PolarConfig()):
     L_t x_prev, the Upsilon_1 factor pinning (R_t)_11 = I.  A singular line
     sum contributes the identity instead.
     """
-    x_prev = as_matrix(x_prev)
-    if x_prev.shape != (p.n, p.n):
-        raise ValueError(f"matrix shape {x_prev.shape} does not match partition n={p.n}")
-    lt, rt, x = _sweep(x_prev, p, cfg)
-    return _block_diag(lt), _block_diag(rt), x
+    lt, rt, x = _sweep(as_partitioned(x_prev, p), p, cfg)
+    return block_diag(lt), block_diag(rt), x
 
 
 def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecomposition:
@@ -147,7 +135,7 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
         raise ValueError("decompose needs a square matrix")
     n = u.shape[0]
     p = BlockPartition(n, m)
-    if float(np.linalg.norm(u.conj().T @ u - np.eye(n))) > _UNITARY_INPUT_TOL:
+    if unitarity_residual(u) > _UNITARY_INPUT_TOL:
         raise ValueError(f"input is not unitary within {_UNITARY_INPUT_TOL}")
 
     if m == n:
@@ -158,19 +146,21 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
     x = u.copy()
     lacc = np.tile(np.eye(m, dtype=complex), (p.r, 1, 1))
     racc = lacc.copy()
-    trace = [(0, psi(x, p))]
+    # u is validated above and every later x is the sweep's own output, so
+    # the loop skips psi()'s copy and finiteness check
+    trace = [(0, _psi(x, p))]
     t = 0
     while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
         t += 1
         lt, rt, x = _sweep(x, p, cfg.polar)
         lacc = lt @ lacc
         racc = racc @ rt
-        trace.append((t, psi(x, p)))
+        trace.append((t, _psi(x, p)))
 
     return DxzDecomposition(
-        D=_block_diag(_adjoints(lacc)),
+        D=block_diag(_adjoints(lacc)),
         X=x,
-        Z=_block_diag(_adjoints(racc)),
+        Z=block_diag(_adjoints(racc)),
         partition=p,
         psi_trace=trace,
         converged=trace[-1][1] <= cfg.psi_tol,
@@ -195,25 +185,7 @@ class VerificationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "reconstruction": self.reconstruction,
-            "d_unitarity": self.d_unitarity,
-            "x_unitarity": self.x_unitarity,
-            "z_unitarity": self.z_unitarity,
-            "d_off_diagonal": self.d_off_diagonal,
-            "z_off_diagonal": self.z_off_diagonal,
-            "z_leading_block": self.z_leading_block,
-            "max_line_sum": self.max_line_sum,
-            "psi_x": self.psi_x,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
-def _off_block_diagonal(mat: np.ndarray, p: BlockPartition) -> float:
-    blocks = mat.reshape(p.r, p.m, p.r, p.m)
-    mask = ~np.eye(p.r, dtype=bool)
-    return float(np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 3))[mask].sum()))
+        return asdict(self)
 
 
 def verify_decomposition(u, dec: DxzDecomposition, tol: float) -> VerificationReport:
@@ -225,35 +197,15 @@ def verify_decomposition(u, dec: DxzDecomposition, tol: float) -> VerificationRe
         if a.shape != (p.n, p.n):
             raise ValueError(f"{name} has shape {a.shape}, expected ({p.n}, {p.n})")
 
-    eye_n = np.eye(p.n)
-    eye_m = np.eye(p.m)
-    line_residuals = [
-        float(np.linalg.norm(s - eye_m))
-        for s in list(_row_sums(x, p)) + list(_col_sums(x, p))
-    ]
-    report = VerificationReport(
-        reconstruction=float(np.linalg.norm(d @ x @ z - u)),
-        d_unitarity=float(np.linalg.norm(d.conj().T @ d - eye_n)),
-        x_unitarity=float(np.linalg.norm(x.conj().T @ x - eye_n)),
-        z_unitarity=float(np.linalg.norm(z.conj().T @ z - eye_n)),
-        d_off_diagonal=_off_block_diagonal(d, p),
-        z_off_diagonal=_off_block_diagonal(z, p),
-        z_leading_block=float(np.linalg.norm(z[: p.m, : p.m] - eye_m)),
-        max_line_sum=max(line_residuals),
-        psi_x=psi(x, p),
-        tol=tol,
-        passed=False,
-    )
-    residuals = [
-        report.reconstruction,
-        report.d_unitarity,
-        report.x_unitarity,
-        report.z_unitarity,
-        report.d_off_diagonal,
-        report.z_off_diagonal,
-        report.z_leading_block,
-        report.max_line_sum,
-        report.psi_x,
-    ]
-    report.passed = all(v <= tol for v in residuals)
-    return report
+    residuals = {
+        "reconstruction": float(np.linalg.norm(d @ x @ z - u)),
+        "d_unitarity": unitarity_residual(d),
+        "x_unitarity": unitarity_residual(x),
+        "z_unitarity": unitarity_residual(z),
+        "d_off_diagonal": off_block_norm(d, p),
+        "z_off_diagonal": off_block_norm(z, p),
+        "z_leading_block": float(np.linalg.norm(z[: p.m, : p.m] - np.eye(p.m))),
+        "max_line_sum": line_sum_residual(x, p),
+        "psi_x": psi(x, p),
+    }
+    return VerificationReport(**residuals, tol=tol, passed=all(v <= tol for v in residuals.values()))

@@ -23,10 +23,12 @@ from .blocksinkhorn import (
     decompose,
     verify_decomposition,
 )
-from .matcore import BlockPartition, haar_random_unitary, load_matrix, save_matrix, RandomSpec
+from .matcore import BlockPartition, haar_random_unitary, load_matrix, save_matrix, unitarity_residual, RandomSpec
 from .permdecomp import Permutation, perm_dxz
 from .polar import PolarConfig
-from .structure import biunitary_from_dxz, conjugate_decompose, is_block_circulant, normalize_biunitary
+from .structure import (
+    biunitary_from_dxz, conjugate_decompose, identity_plus_core, is_block_circulant, normalize_biunitary,
+)
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -72,7 +74,7 @@ def _load_unitary(path) -> np.ndarray:
     mat = _load(path)
     if mat.shape[0] != mat.shape[1]:
         raise _DataError(f"{path}: matrix is not square")
-    if float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))) > 1e-8:
+    if unitarity_residual(mat) > 1e-8:
         raise _DataError(f"{path}: matrix is not unitary within 1e-8")
     return mat
 
@@ -181,7 +183,7 @@ def cmd_verify(args) -> int:
     d = _load(args.d)
     x = _load(args.x)
     z = _load(args.z)
-    p = _partition(u.shape[0] if u.ndim == 2 else 0, args.m)
+    p = _partition(u.shape[0], args.m)
     dec = DxzDecomposition(D=d, X=x, Z=z, partition=p)
     try:
         report = verify_decomposition(u, dec, args.tol)
@@ -247,11 +249,8 @@ def cmd_conjugate(args) -> int:
     save_matrix(outdir / "C.json", conj.C)
     save_matrix(outdir / "A.json", conj.A)
     save_matrix(outdir / "Y.json", conj.Y)
-    mid = np.zeros((p.n, p.n), dtype=complex)
-    mid[: p.m, : p.m] = np.eye(p.m)
-    mid[p.m :, p.m :] = conj.A
     residuals = {
-        "reconstruction": float(np.linalg.norm(conj.C @ mid @ conj.Y - u)),
+        "reconstruction": float(np.linalg.norm(conj.C @ identity_plus_core(conj.A, p) @ conj.Y - u)),
         "c_circulant": bool(is_block_circulant(conj.C, p)),
         "y_circulant": bool(is_block_circulant(conj.Y, p)),
     }

@@ -1,9 +1,10 @@
-"""Dense complex matrix substrate: block views, special matrices, random
+"""Dense complex matrix substrate: the block layout, special matrices, random
 unitaries and CMAT-JSON file I/O.
 
 All matrices are plain numpy arrays of dtype complex128.  Block indices in
 the public interface are 1-based (j, k = 1 .. r); a block covers consecutive
-rows and columns of the parent matrix.
+rows and columns of the parent matrix.  This module alone knows the block
+layout; its block helpers take validated complex arrays and coerce nothing.
 """
 
 from __future__ import annotations
@@ -18,12 +19,21 @@ __all__ = [
     "BlockPartition",
     "RandomSpec",
     "as_matrix",
+    "as_partitioned",
     "multiply",
     "adjoint",
     "is_unitary",
     "block",
     "block_row_sum",
     "block_col_sum",
+    "block_grid",
+    "row_sums",
+    "col_sums",
+    "line_sum_residual",
+    "off_block_norm",
+    "diag_blocks",
+    "block_diag",
+    "unitarity_residual",
     "dft_matrix",
     "kronecker",
     "haar_random_unitary",
@@ -69,6 +79,14 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
+def as_partitioned(a, p: BlockPartition) -> np.ndarray:
+    """as_matrix, also requiring the n x n shape of the partition."""
+    a = as_matrix(a)
+    if a.shape != (p.n, p.n):
+        raise ValueError(f"matrix shape {a.shape} does not match partition n={p.n}")
+    return a
+
+
 def multiply(a, b) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
@@ -82,50 +100,83 @@ def adjoint(a) -> np.ndarray:
     return as_matrix(a).conj().T.copy()
 
 
+def unitarity_residual(a: np.ndarray) -> float:
+    """||a^H a - I||_F of a square matrix."""
+    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+
+
 def is_unitary(a, tol: float) -> bool:
     """True iff ||a^H a - I||_F <= tol (a must be square)."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("is_unitary needs a square matrix")
-    n = a.shape[0]
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(n))) <= tol
+    return unitarity_residual(a) <= tol
 
 
-def _check_partition(a: np.ndarray, p: BlockPartition):
-    if a.shape != (p.n, p.n):
-        raise ValueError(f"matrix shape {a.shape} does not match partition n={p.n}")
+def block_grid(a: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """The (r, r, m, m) view of an n x n matrix: [j, k] is block (j, k), 0-based."""
+    return a.reshape(p.r, p.m, p.r, p.m).transpose(0, 2, 1, 3)
+
+
+def row_sums(a: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """The r block row sums as an (r, m, m) stack."""
+    return block_grid(a, p).sum(axis=1)
+
+
+def col_sums(a: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """The r block column sums as an (r, m, m) stack."""
+    return block_grid(a, p).sum(axis=0)
+
+
+def line_sum_residual(a: np.ndarray, p: BlockPartition) -> float:
+    """Largest ||S - I||_F over all 2r block line sums S."""
+    eye = np.eye(p.m)
+    return max(float(np.linalg.norm(s - eye)) for s in (*row_sums(a, p), *col_sums(a, p)))
+
+
+def off_block_norm(a: np.ndarray, p: BlockPartition) -> float:
+    """Frobenius norm of everything outside the r diagonal blocks."""
+    weights = (np.abs(block_grid(a, p)) ** 2).sum(axis=(2, 3))
+    return float(np.sqrt(weights[~np.eye(p.r, dtype=bool)].sum()))
+
+
+def diag_blocks(a: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """The r diagonal blocks as an (r, m, m) stack (a copy)."""
+    j = np.arange(p.r)
+    return block_grid(a, p)[j, j]
+
+
+def block_diag(stack: np.ndarray) -> np.ndarray:
+    """The n x n block-diagonal matrix with an (r, m, m) stack on its diagonal."""
+    r, m, _ = stack.shape
+    out = np.zeros((r * m, r * m), dtype=complex)
+    j = np.arange(r)
+    block_grid(out, BlockPartition(r * m, m))[j, j] = stack
+    return out
 
 
 def block(a, p: BlockPartition, j: int, k: int) -> np.ndarray:
     """The m x m block at block row j, block column k (1-based)."""
-    a = as_matrix(a)
-    _check_partition(a, p)
+    a = as_partitioned(a, p)
     if not (1 <= j <= p.r and 1 <= k <= p.r):
         raise ValueError(f"block index ({j},{k}) out of range 1..{p.r}")
-    m = p.m
-    return a[(j - 1) * m : j * m, (k - 1) * m : k * m].copy()
+    return block_grid(a, p)[j - 1, k - 1].copy()
 
 
 def block_row_sum(a, p: BlockPartition, j: int) -> np.ndarray:
     """Sum of the r blocks in block row j (1-based)."""
-    a = as_matrix(a)
-    _check_partition(a, p)
+    a = as_partitioned(a, p)
     if not 1 <= j <= p.r:
         raise ValueError(f"block row {j} out of range 1..{p.r}")
-    m = p.m
-    strip = a[(j - 1) * m : j * m, :]
-    return strip.reshape(m, p.r, m).sum(axis=1)
+    return row_sums(a, p)[j - 1]
 
 
 def block_col_sum(a, p: BlockPartition, k: int) -> np.ndarray:
     """Sum of the r blocks in block column k (1-based)."""
-    a = as_matrix(a)
-    _check_partition(a, p)
+    a = as_partitioned(a, p)
     if not 1 <= k <= p.r:
         raise ValueError(f"block column {k} out of range 1..{p.r}")
-    m = p.m
-    strip = a[:, (k - 1) * m : k * m]
-    return strip.reshape(p.r, m, m).sum(axis=0)
+    return col_sums(a, p)[k - 1]
 
 
 def dft_matrix(r: int) -> np.ndarray:
@@ -184,9 +235,14 @@ def load_matrix(path) -> np.ndarray:
     if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
         raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
     rows, cols, data = payload["rows"], payload["cols"], payload["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    # JSON true/false decode to bool, a subclass of int
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
         raise ValueError(f"{path}: invalid dimensions rows={rows}, cols={cols}")
-    if len(data) != rows or any(len(row) != cols for row in data):
+    if not (
+        isinstance(data, list)
+        and len(data) == rows
+        and all(isinstance(row, list) and len(row) == cols for row in data)
+    ):
         raise ValueError(f"{path}: data does not match declared shape {rows}x{cols}")
     try:
         a = np.array([[complex(re, im) for re, im in row] for row in data])

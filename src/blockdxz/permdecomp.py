@@ -11,7 +11,7 @@ P = D X Z with integer matrices throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,12 +162,4 @@ def complex_perm_dxz(u, m: int) -> DxzDecomposition:
 
     perm = Permutation(tuple(int(c) + 1 for c in cols))
     dec = perm_dxz(perm, m)
-    return DxzDecomposition(
-        D=phases[:, None] * dec.D,
-        X=dec.X,
-        Z=dec.Z,
-        partition=dec.partition,
-        psi_trace=dec.psi_trace,
-        converged=True,
-        iterations_used=0,
-    )
+    return replace(dec, D=phases[:, None] * dec.D)

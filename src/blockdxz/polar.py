@@ -27,14 +27,13 @@ class PolarConfig:
     """Polar-kernel settings.
 
     sing_tol: a block whose smallest singular value lies below it counts as
-    singular.  newton_iters and refine are validated and recorded (the CLI's
-    --polar-iters writes newton_iters into report.json) but no longer change
-    the result: the SVD factor is the Newton limit itself.
+    singular.  newton_iters is validated and recorded (the CLI's
+    --polar-iters writes it into report.json) but no longer changes the
+    result: the SVD factor is the Newton limit itself.
     """
 
     newton_iters: int = 10
     sing_tol: float = 1e-10
-    refine: bool = False
 
     def __post_init__(self):
         if self.newton_iters < 1:

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, psi
-from .matcore import BlockPartition, as_matrix, dft_matrix, kronecker
+from .matcore import (
+    BlockPartition, as_matrix, as_partitioned, block_diag, block_grid, diag_blocks, dft_matrix, kronecker,
+    line_sum_residual, off_block_norm, unitarity_residual,
+)
 
 __all__ = [
     "InconsistencyError",
@@ -26,6 +29,7 @@ __all__ = [
     "membership",
     "xu_to_core",
     "core_to_xu",
+    "identity_plus_core",
     "is_block_circulant",
     "conjugate_decompose",
     "biunitary_from_dxz",
@@ -46,41 +50,41 @@ class InconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class BiunitaryVector:
-    """Stack of r unitary m x m blocks, an n x m matrix V with V^H V = r I."""
+    """Stack of r unitary m x m blocks, an n x m matrix V with V^H V = r I.
 
-    blocks: tuple[np.ndarray, ...]
+    blocks is one (r, m, m) complex array; any sequence of r equal-size
+    square blocks is accepted and copied into it.
+    """
+
+    blocks: np.ndarray
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("BiunitaryVector needs at least one block")
-        m = self.blocks[0].shape[0]
-        eye = np.eye(m)
-        for b in self.blocks:
-            if b.shape != (m, m):
-                raise ValueError("all blocks must be square of one size")
-            if float(np.linalg.norm(b.conj().T @ b - eye)) > _BLOCK_UNITARY_TOL:
-                raise ValueError(f"block is not unitary within {_BLOCK_UNITARY_TOL}")
+        blocks = np.array(self.blocks, dtype=complex)  # blocks of mixed sizes raise ValueError here
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or blocks.size == 0:
+            raise ValueError(f"need a non-empty (r, m, m) stack of square blocks, got shape {blocks.shape}")
+        if not all(unitarity_residual(b) <= _BLOCK_UNITARY_TOL for b in blocks):  # NaN fails too
+            raise ValueError(f"block is not unitary within {_BLOCK_UNITARY_TOL}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def m(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def r(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def stacked(self) -> np.ndarray:
         """The blocks as one (r*m) x m matrix."""
-        return np.vstack(self.blocks)
+        return self.blocks.reshape(self.r * self.m, self.m)
 
     @classmethod
     def from_stacked(cls, mat, m: int) -> "BiunitaryVector":
         mat = as_matrix(mat)
         if mat.shape[1] != m or mat.shape[0] % m != 0:
             raise ValueError(f"cannot split shape {mat.shape} into m={m} blocks")
-        r = mat.shape[0] // m
-        return cls(tuple(mat[i * m : (i + 1) * m].copy() for i in range(r)))
+        return cls(mat.reshape(-1, m, m))
 
 
 @dataclass(frozen=True)
@@ -111,33 +115,17 @@ def fourier_transform(p: BlockPartition) -> np.ndarray:
     return kronecker(dft_matrix(p.r), np.eye(p.m))
 
 
-def _line_sum_residual(mat: np.ndarray, p: BlockPartition) -> float:
-    blocks = mat.reshape(p.r, p.m, p.r, p.m)
-    eye = np.eye(p.m)
-    worst = 0.0
-    for j in range(p.r):
-        worst = max(worst, float(np.linalg.norm(blocks[j].sum(axis=1) - eye)))
-    for k in range(p.r):
-        worst = max(worst, float(np.linalg.norm(blocks[:, :, k].sum(axis=0) - eye)))
-    return worst
-
-
 def membership(mat, p: BlockPartition, group: str, tol: float) -> bool:
     """Group membership within tol: "DU" (unitary block-diagonal), "ZU"
     (DU with leading block I), "XU" (unitary, all 2r block line sums I)."""
-    mat = as_matrix(mat)
-    if mat.shape != (p.n, p.n):
-        raise ValueError(f"matrix shape {mat.shape} does not match partition n={p.n}")
+    mat = as_partitioned(mat, p)
     if group not in ("DU", "ZU", "XU"):
         raise ValueError(f"unknown group {group!r}, expected DU, ZU or XU")
-    if float(np.linalg.norm(mat.conj().T @ mat - np.eye(p.n))) > tol:
+    if unitarity_residual(mat) > tol:
         return False
     if group == "XU":
-        return _line_sum_residual(mat, p) <= tol
-
-    blocks = mat.reshape(p.r, p.m, p.r, p.m)
-    off = ~np.eye(p.r, dtype=bool)
-    if float(np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 3))[off].sum())) > tol:
+        return line_sum_residual(mat, p) <= tol
+    if off_block_norm(mat, p) > tol:
         return False
     if group == "ZU":
         return float(np.linalg.norm(mat[: p.m, : p.m] - np.eye(p.m))) <= tol
@@ -161,30 +149,30 @@ def xu_to_core(x, p: BlockPartition, tol: float = 1e-8) -> np.ndarray:
     return mid[m:, m:].copy()
 
 
+def identity_plus_core(g: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """The n x n matrix I (+) G: identity leading m x m block, q x q core G."""
+    return np.block([[np.eye(p.m), np.zeros((p.m, p.q))], [np.zeros((p.q, p.m)), g]])
+
+
 def core_to_xu(g, p: BlockPartition) -> np.ndarray:
     """Expand a unitary q x q core G to the XU member T (I (+) G) T^{-1}."""
     g = as_matrix(g)
     if g.shape != (p.q, p.q):
         raise ValueError(f"core shape {g.shape} does not match q={p.q}")
-    if p.q > 0 and float(np.linalg.norm(g.conj().T @ g - np.eye(p.q))) > _BLOCK_UNITARY_TOL:
+    if unitarity_residual(g) > _BLOCK_UNITARY_TOL:
         raise ValueError("core must be unitary")
-    mid = np.zeros((p.n, p.n), dtype=complex)
-    mid[: p.m, : p.m] = np.eye(p.m)
-    mid[p.m :, p.m :] = g
     t = fourier_transform(p)
-    return t @ mid @ t.conj().T
+    return t @ identity_plus_core(g, p) @ t.conj().T
 
 
 def is_block_circulant(mat, p: BlockPartition, tol: float | None = None) -> bool:
     """True iff every block (j, k) lies within tol (Frobenius norm) of block
     (0, k - j mod r), the first-row block of its diagonal j - k (mod r).
     Default tol is 1e-8 scaled by ||M||_F."""
-    mat = as_matrix(mat)
-    if mat.shape != (p.n, p.n):
-        raise ValueError(f"matrix shape {mat.shape} does not match partition n={p.n}")
+    mat = as_partitioned(mat, p)
     if tol is None:
         tol = 1e-8 * float(np.linalg.norm(mat))
-    blocks = mat.reshape(p.r, p.m, p.r, p.m).transpose(0, 2, 1, 3)
+    blocks = block_grid(mat, p)
     j = np.arange(p.r)
     # diagonals[d, j] is block (j, j - d mod r)
     diagonals = blocks[j[None, :], (j[None, :] - j[:, None]) % p.r]
@@ -230,18 +218,12 @@ def conjugate_decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> 
     )
 
 
-def _diag_blocks(mat: np.ndarray, p: BlockPartition) -> list[np.ndarray]:
-    m = p.m
-    return [mat[i * m : (i + 1) * m, i * m : (i + 1) * m].copy() for i in range(p.r)]
-
-
 def biunitary_from_dxz(dec: DxzDecomposition) -> tuple[BiunitaryVector, BiunitaryVector]:
     """Extract V_j = (Z_jj)^{-1} and W_j = D_jj, so that U V = W with
     V_1 = I up to the residuals of the decomposition."""
     p = dec.partition
-    v_blocks = tuple(b.conj().T for b in _diag_blocks(as_matrix(dec.Z), p))
-    w_blocks = tuple(_diag_blocks(as_matrix(dec.D), p))
-    return BiunitaryVector(v_blocks), BiunitaryVector(w_blocks)
+    v_blocks = diag_blocks(as_partitioned(dec.Z, p), p).conj().transpose(0, 2, 1)
+    return BiunitaryVector(v_blocks), BiunitaryVector(diag_blocks(as_partitioned(dec.D, p), p))
 
 
 def normalize_biunitary(v: BiunitaryVector, w: BiunitaryVector) -> tuple[BiunitaryVector, BiunitaryVector]:
@@ -251,10 +233,9 @@ def normalize_biunitary(v: BiunitaryVector, w: BiunitaryVector) -> tuple[Biunita
     if v.r != w.r or v.m != w.m:
         raise ValueError("V and W must have matching block structure")
     v1_inv = np.linalg.inv(v.blocks[0])
-    new_v = [b @ v1_inv for b in v.blocks]
-    new_w = tuple(b @ v1_inv for b in w.blocks)
-    new_v[0] = np.eye(v.m, dtype=complex)
-    return BiunitaryVector(tuple(new_v)), BiunitaryVector(new_w)
+    new_v = v.blocks @ v1_inv
+    new_v[0] = np.eye(v.m)
+    return BiunitaryVector(new_v), BiunitaryVector(w.blocks @ v1_inv)
 
 
 def xu_from_biunitary(u, v: BiunitaryVector, w: BiunitaryVector, tol: float) -> np.ndarray:
@@ -264,29 +245,20 @@ def xu_from_biunitary(u, v: BiunitaryVector, w: BiunitaryVector, tol: float) -> 
     The right factor carries the V_j themselves: that is the variant for which
     A E = E (E the stack of identities) actually follows from U V = W.
     """
-    u = as_matrix(u)
-    m, r = v.m, v.r
-    n = m * r
-    if u.shape != (n, n):
-        raise ValueError(f"U shape {u.shape} does not match blocks ({n}, {n})")
+    p = BlockPartition(v.r * v.m, v.m)
+    u = as_partitioned(u, p)
     if v.r != w.r or v.m != w.m:
         raise ValueError("V and W must have matching block structure")
-    if float(np.linalg.norm(v.blocks[0] - np.eye(m))) > tol:
+    if float(np.linalg.norm(v.blocks[0] - np.eye(p.m))) > tol:
         raise ValueError("V_1 must be the identity within tol")
     residual = float(np.linalg.norm(u @ v.stacked - w.stacked))
     if residual > tol:
         raise ValueError(f"U V = W fails: residual {residual:.3e} > tol")
 
-    left = np.zeros((n, n), dtype=complex)
-    right = np.zeros((n, n), dtype=complex)
-    right[:m, :m] = np.eye(m)
-    for i in range(r):
-        left[i * m : (i + 1) * m, i * m : (i + 1) * m] = np.linalg.inv(w.blocks[i])
-        if i > 0:
-            right[i * m : (i + 1) * m, i * m : (i + 1) * m] = v.blocks[i]
-    a = left @ u @ right
+    right = v.blocks.copy()
+    right[0] = np.eye(p.m)
+    a = block_diag(np.linalg.inv(w.blocks)) @ u @ block_diag(right)
 
-    p = BlockPartition(n, m)
     derived = 20.0 * tol + 1e-10
     if not membership(a, p, "XU", derived):
         raise InconsistencyError(
@@ -312,7 +284,7 @@ def u2_parameters(u) -> U2Parameters:
     u = as_matrix(u)
     if u.shape != (2, 2):
         raise ValueError("u2_parameters needs a 2 x 2 matrix")
-    if float(np.linalg.norm(u.conj().T @ u - np.eye(2))) > _BLOCK_UNITARY_TOL:
+    if unitarity_residual(u) > _BLOCK_UNITARY_TOL:
         raise ValueError("input is not unitary")
 
     c = abs(u[0, 0])

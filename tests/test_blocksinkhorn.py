@@ -62,7 +62,7 @@ def test_step_reproduces_first_table_entry(u6):
 def untwisted_column_sweep(y, p):
     """Right normalization without the shared gauge factor that pins
     (R_t)_11 = I; this is the version whose block-trace gain is provable."""
-    from blockdxz.blocksinkhorn import _col_sums
+    from blockdxz.matcore import col_sums as _col_sums
     from blockdxz.polar import polar_unitary
 
     right = np.zeros((p.n, p.n), dtype=complex)

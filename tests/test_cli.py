@@ -84,6 +84,26 @@ def test_usage_and_data_errors(tmp_path, u6_file):
     assert main(["--help"]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": 1, "cols": 1, "data": 5},
+        {"rows": 1, "cols": 1, "data": [5]},
+        {"rows": 1, "cols": 1, "data": "x"},
+        {"rows": 1, "cols": 1, "data": [[5]]},
+        {"rows": True, "cols": True, "data": [[[1, 0]]]},
+        {"rows": 1, "cols": False, "data": [[]]},
+    ],
+)
+def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_matrix(path)
+    assert main(["trace", str(path), "--m", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_trace_command(u6_file, tmp_path, capsys):
     assert main(["trace", u6_file, "--m", "1", "--max-iter", "36"]) in (EXIT_OK, EXIT_NOT_CONVERGED)
     lines = [ln.split() for ln in capsys.readouterr().out.strip().splitlines()[1:]]

@@ -23,6 +23,16 @@ from blockdxz import (
     perm_dxz,
     save_matrix,
 )
+from blockdxz.matcore import (
+    block_diag,
+    block_grid,
+    col_sums,
+    diag_blocks,
+    line_sum_residual,
+    off_block_norm,
+    row_sums,
+    unitarity_residual,
+)
 from refdata import SIGMA_IMAGE
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -206,6 +216,45 @@ def test_line_sum_norm_identity(seed, nm):
     cols = sum(np.linalg.norm(block_col_sum(u, p, k)) ** 2 for k in range(1, p.r + 1))
     assert abs(rows - n) < 1e-10
     assert abs(cols - n) < 1e-10
+
+
+@pytest.mark.parametrize("n,m", [(6, 1), (6, 2), (6, 3), (6, 6), (12, 4)])
+def test_block_helpers_match_explicit_slicing(n, m):
+    p = BlockPartition(n, m)
+    r = n // m
+    u = haar_random_unitary(RandomSpec(n, 31 + n + m))
+
+    def blk(a, j, k):
+        return a[j * m : (j + 1) * m, k * m : (k + 1) * m]
+
+    rows = [sum(blk(u, j, k) for k in range(r)) for j in range(r)]
+    cols = [sum(blk(u, j, k) for j in range(r)) for k in range(r)]
+    assert row_sums(u, p).shape == col_sums(u, p).shape == (r, m, m)
+    np.testing.assert_allclose(row_sums(u, p), rows, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(col_sums(u, p), cols, rtol=0, atol=1e-14)
+    for j in range(r):
+        for k in range(r):
+            assert np.array_equal(block_grid(u, p)[j, k], blk(u, j, k))
+
+    worst = max(np.linalg.norm(s - np.eye(m)) for s in rows + cols)
+    assert abs(line_sum_residual(u, p) - worst) < 1e-14
+    assert line_sum_residual(np.eye(n), p) == 0.0
+
+    off = np.sqrt(sum(np.linalg.norm(blk(u, j, k)) ** 2 for j in range(r) for k in range(r) if j != k))
+    assert abs(off_block_norm(u, p) - off) < 1e-13
+
+    stack = np.stack([blk(u, j, j) for j in range(r)])
+    assert np.array_equal(diag_blocks(u, p), stack)
+    packed = block_diag(stack)
+    assert packed.shape == (n, n)
+    assert np.array_equal(diag_blocks(packed, p), stack)
+    assert off_block_norm(packed, p) == 0.0
+    if r > 1:
+        packed[0, n - 1] = 0.5j
+        assert abs(off_block_norm(packed, p) - 0.5) < 1e-15
+
+    assert unitarity_residual(u) < 1e-13
+    assert abs(unitarity_residual(2 * u) - 3 * np.sqrt(n)) < 1e-12
 
 
 def test_cmat_roundtrip(tmp_path):

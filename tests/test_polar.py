@@ -53,7 +53,7 @@ def test_oracle_examples():
 
 def test_hermitian_positive_residue():
     # Phi^H M must come out Hermitian positive definite
-    cfg = PolarConfig(refine=True)
+    cfg = PolarConfig()
     for seed in range(50):
         mat = random_complex(4, seed)
         factor, singular = polar_unitary(mat, "left", cfg)
@@ -65,7 +65,7 @@ def test_hermitian_positive_residue():
 
 def test_recovers_unitary_factor_of_polar_product():
     rng = np.random.default_rng(2)
-    cfg = PolarConfig(refine=True)
+    cfg = PolarConfig()
     for seed in range(50):
         phi = haar_random_unitary(RandomSpec(3, seed))
         # positive definite with condition number <= 1e3

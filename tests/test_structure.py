@@ -197,8 +197,13 @@ def test_biunitary_residual_bound(u6):
 
 
 def test_biunitary_vector_validation():
-    with pytest.raises(ValueError):
-        BiunitaryVector((np.array([[1.0, 0.0], [0.0, 2.0]]),))
+    not_unitary = (np.array([[1.0, 0.0], [0.0, 2.0]]),)
+    mixed_size = (np.eye(2), np.eye(3))
+    non_square = (np.eye(2)[:1], np.eye(2)[:1])
+    non_finite = (np.eye(2), np.full((2, 2), np.nan))
+    for blocks in (not_unitary, mixed_size, non_square, non_finite, ()):
+        with pytest.raises(ValueError):
+            BiunitaryVector(blocks)
     v = BiunitaryVector.from_stacked(np.vstack([np.eye(2)] * 3), 2)
     assert v.r == 3 and v.m == 2
     assert np.linalg.norm(v.stacked.conj().T @ v.stacked - 3 * np.eye(2)) < 1e-12
