@@ -101,8 +101,9 @@ def adjoint(a) -> np.ndarray:
 
 
 def unitarity_residual(a: np.ndarray) -> float:
-    """||a^H a - I||_F of a square matrix."""
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+    """||a^H a - I||_F of a square matrix, or of all blocks of an (r, m, m)
+    stack together."""
+    return float(np.linalg.norm(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])))
 
 
 def is_unitary(a, tol: float) -> bool:
@@ -130,8 +131,8 @@ def col_sums(a: np.ndarray, p: BlockPartition) -> np.ndarray:
 
 def line_sum_residual(a: np.ndarray, p: BlockPartition) -> float:
     """Largest ||S - I||_F over all 2r block line sums S."""
-    eye = np.eye(p.m)
-    return max(float(np.linalg.norm(s - eye)) for s in (*row_sums(a, p), *col_sums(a, p)))
+    sums = np.concatenate((row_sums(a, p), col_sums(a, p)))
+    return float(np.linalg.norm(sums - np.eye(p.m), axis=(1, 2)).max())
 
 
 def off_block_norm(a: np.ndarray, p: BlockPartition) -> float:
@@ -227,9 +228,11 @@ def save_matrix(path, a) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a CMAT-JSON matrix, rejecting shape mismatches and non-finite values."""
+    """Read a CMAT-JSON matrix, rejecting shape mismatches and entries that are
+    not pairs of finite numbers."""
+    text = Path(path).read_text()
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
@@ -248,4 +251,10 @@ def load_matrix(path) -> np.ndarray:
         a = np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc
+    # complex() takes true/false as 1/0; text without either literal holds no
+    # bool, so large files of numbers skip the per-entry scan
+    if ("true" in text or "false" in text) and any(
+        type(v) is bool for row in data for entry in row for v in entry
+    ):
+        raise ValueError(f"{path}: malformed entries: true/false is not a number")
     return as_matrix(a)

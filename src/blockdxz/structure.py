@@ -115,6 +115,15 @@ def fourier_transform(p: BlockPartition) -> np.ndarray:
     return kronecker(dft_matrix(p.r), np.eye(p.m))
 
 
+def _fourier_conjugate(a: np.ndarray, p: BlockPartition, inverse: bool = False) -> np.ndarray:
+    """T a T^H, or T^H a T when inverse, for T = fourier_transform(p), as
+    orthonormal FFTs along the two block axes of the (r, m, r, m) view: numpy's
+    forward FFT has dft_matrix's sign, exp(-2 pi i j k / r)."""
+    left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
+    grid = a.reshape(p.r, p.m, p.r, p.m)
+    return right(left(grid, axis=0, norm="ortho"), axis=2, norm="ortho").reshape(p.n, p.n)
+
+
 def membership(mat, p: BlockPartition, group: str, tol: float) -> bool:
     """Group membership within tol: "DU" (unitary block-diagonal), "ZU"
     (DU with leading block I), "XU" (unitary, all 2r block line sums I)."""
@@ -137,8 +146,7 @@ def xu_to_core(x, p: BlockPartition, tol: float = 1e-8) -> np.ndarray:
     x = as_matrix(x)
     if not membership(x, p, "XU", tol):
         raise ValueError("input is not an XU member within tol")
-    t = fourier_transform(p)
-    mid = t.conj().T @ x @ t
+    mid = _fourier_conjugate(x, p, inverse=True)
     m = p.m
     leading = float(np.linalg.norm(mid[:m, :m] - np.eye(m)))
     off = math.hypot(float(np.linalg.norm(mid[:m, m:])), float(np.linalg.norm(mid[m:, :m])))
@@ -161,8 +169,7 @@ def core_to_xu(g, p: BlockPartition) -> np.ndarray:
         raise ValueError(f"core shape {g.shape} does not match q={p.q}")
     if unitarity_residual(g) > _BLOCK_UNITARY_TOL:
         raise ValueError("core must be unitary")
-    t = fourier_transform(p)
-    return t @ identity_plus_core(g, p) @ t.conj().T
+    return _fourier_conjugate(identity_plus_core(g, p), p)
 
 
 def is_block_circulant(mat, p: BlockPartition, tol: float | None = None) -> bool:
@@ -190,13 +197,11 @@ def conjugate_decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> 
     if u.shape[0] != u.shape[1]:
         raise ValueError("conjugate_decompose needs a square matrix")
     p = BlockPartition(u.shape[0], m)
-    t = fourier_transform(p)
-    th = t.conj().T
-    dec = decompose(th @ u @ t, m, cfg)
+    dec = decompose(_fourier_conjugate(u, p, inverse=True), m, cfg)
 
-    c = t @ dec.D @ th
-    mid = t @ dec.X @ th
-    y = t @ dec.Z @ th
+    c = _fourier_conjugate(dec.D, p)
+    mid = _fourier_conjugate(dec.X, p)
+    y = _fourier_conjugate(dec.Z, p)
     if dec.converged:
         leading = float(np.linalg.norm(mid[:m, :m] - np.eye(m)))
         # line sums at convergence sit within ~sqrt(psi/n) of I, and the

@@ -3,6 +3,7 @@ import pytest
 
 from blockdxz import (
     BlockPartition,
+    DxzDecomposition,
     IterationConfig,
     Permutation,
     PolarConfig,
@@ -285,6 +286,82 @@ def test_verify_rejects_shape_mismatch():
     dec = decompose(np.eye(6), 2)
     with pytest.raises(ValueError):
         verify_decomposition(np.eye(4), dec, 1e-8)
+
+
+def dense_residuals(u, d, x, z, m):
+    """verify_decomposition's nine residuals from the n x n formulas, with the
+    blocks sliced out one by one."""
+    n = u.shape[0]
+    r = n // m
+
+    def blk(a, j, k):
+        return a[j * m : (j + 1) * m, k * m : (k + 1) * m]
+
+    def unitarity(a):
+        return float(np.linalg.norm(a.conj().T @ a - np.eye(n)))
+
+    def off_block(a):
+        return float(np.sqrt(sum(np.linalg.norm(blk(a, j, k)) ** 2 for j in range(r) for k in range(r) if j != k)))
+
+    sums = [sum(blk(x, j, k) for k in range(r)) for j in range(r)]
+    sums += [sum(blk(x, j, k) for j in range(r)) for k in range(r)]
+    btr = sum(np.trace(blk(x, j, k)) for j in range(r) for k in range(r))
+    return {
+        "reconstruction": float(np.linalg.norm(d @ x @ z - u)),
+        "d_unitarity": unitarity(d),
+        "x_unitarity": unitarity(x),
+        "z_unitarity": unitarity(z),
+        "d_off_diagonal": off_block(d),
+        "z_off_diagonal": off_block(z),
+        "z_leading_block": float(np.linalg.norm(z[:m, :m] - np.eye(m))),
+        "max_line_sum": max(float(np.linalg.norm(s - np.eye(m))) for s in sums),
+        "psi_x": float(n * n - abs(btr) ** 2),
+    }
+
+
+def assert_matches_dense(u, dec, tol, bound):
+    report = verify_decomposition(u, dec, tol).as_dict()
+    dense = dense_residuals(u, dec.D, dec.X, dec.Z, dec.partition.m)
+    for key, value in dense.items():
+        assert abs(report[key] - value) <= bound, key
+    assert report["passed"] == all(v <= tol for v in dense.values())
+    return report, dense
+
+
+def test_verify_matches_dense_formulas():
+    # block-diagonal D and Z take the block-stack path
+    for seed, (n, m) in enumerate([(6, 1), (6, 2), (6, 3), (12, 4), (64, 8)]):
+        u = haar_random_unitary(RandomSpec(n, 70 + seed))
+        dec = decompose(u, m, IterationConfig(max_iter=20))
+        report, _ = assert_matches_dense(u, dec, 1e-3, 1e-13 * n)
+        for key in ("reconstruction", "d_unitarity", "z_unitarity", "d_off_diagonal", "z_off_diagonal"):
+            assert report[key] <= 1e-13 * n, key
+
+    # exact integer factors give exactly zero residuals on both paths
+    image = tuple(int(v) + 1 for v in np.random.default_rng(5).permutation(12))
+    cases = []
+    for perm, m in ((Permutation(SIGMA_IMAGE), 2), (Permutation(image), 3)):
+        cases.append((perm.to_matrix(), perm_dxz(perm, m)))
+        report, dense = assert_matches_dense(*cases[-1], 0.0, 0.0)
+        assert report["passed"]
+        assert all(v == 0.0 for v in dense.values())
+
+    # off-block mass in D or Z: the dense formulas run and count it
+    for seed, (n, m) in enumerate([(6, 2), (12, 4)]):
+        u = haar_random_unitary(RandomSpec(n, 90 + seed))
+        cases.append((u, decompose(u, m, IterationConfig(max_iter=20))))
+    for u, dec in cases:
+        n, m = dec.partition.n, dec.partition.m
+        for name, (j, k) in (("D", (0, m)), ("Z", (n - 1, 0))):
+            factors = {"D": dec.D.copy(), "Z": dec.Z.copy()}
+            factors[name][j, k] += 1e-6
+            d, x, z = factors["D"], dec.X, factors["Z"]
+            report, _ = assert_matches_dense(u, DxzDecomposition(d, x, z, dec.partition), 1e-8, 1e-13 * n)
+            assert report["reconstruction"] == float(np.linalg.norm(d @ x @ z - u))
+            assert report["d_unitarity"] == float(np.linalg.norm(d.conj().T @ d - np.eye(n)))
+            assert report["z_unitarity"] == float(np.linalg.norm(z.conj().T @ z - np.eye(n)))
+            assert report[f"{name.lower()}_off_diagonal"] >= 0.9e-6
+            assert not report["passed"]
 
 
 def test_trivial_and_scalar_footnotes():

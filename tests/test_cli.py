@@ -104,6 +104,23 @@ def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": 1, "cols": 1, "data": [[[True, False]]]},
+        {"rows": 1, "cols": 2, "data": [[[0.5, 0], [False, 1]]]},
+        {"rows": 2, "cols": 1, "data": [[[1, 0]], [[0, True]]]},
+    ],
+)
+def test_boolean_cmat_entries_are_a_data_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_matrix(path)
+    assert main(["trace", str(path), "--m", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_trace_command(u6_file, tmp_path, capsys):
     assert main(["trace", u6_file, "--m", "1", "--max-iter", "36"]) in (EXIT_OK, EXIT_NOT_CONVERGED)
     lines = [ln.split() for ln in capsys.readouterr().out.strip().splitlines()[1:]]

@@ -31,6 +31,7 @@ from blockdxz import (
     xu_from_biunitary,
     xu_to_core,
 )
+from blockdxz.structure import _fourier_conjugate
 from refdata import SIGMA_FACTORS_M3, SIGMA_IMAGE
 
 TIGHT = IterationConfig(max_iter=3000, psi_tol=1e-12)
@@ -93,6 +94,16 @@ def test_xu_to_core_matches_direct_conjugation():
     g = xu_to_core(x, p, 1e-10)
     assert np.linalg.norm(g - direct[2:, 2:]) < 1e-12
     assert np.linalg.norm(g.conj().T @ g - np.eye(4)) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (6, 1), (6, 2), (6, 3), (12, 4), (64, 1), (64, 8)])
+def test_fourier_conjugate_matches_dense_product(n, m):
+    p = BlockPartition(n, m)
+    rng = np.random.default_rng(100 * n + m)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t = fourier_transform(p)
+    assert np.linalg.norm(_fourier_conjugate(a, p) - t @ a @ t.conj().T) <= 1e-12 * n
+    assert np.linalg.norm(_fourier_conjugate(a, p, inverse=True) - t.conj().T @ a @ t) <= 1e-12 * n
 
 
 def test_xu_to_core_rejects_non_members(u6):
