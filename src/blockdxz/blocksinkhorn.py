@@ -8,8 +8,10 @@ psi(M) = n^2 - |Btr(M)|^2, which is zero exactly on the unit-line-sum group.
 
 The sweep keeps L_t, R_t and the accumulated D and Z as (r, m, m) stacks of
 their diagonal blocks and applies them as batched matmuls on the (r, m, n)
-and (r, n, m) views of X; n x n block-diagonal matrices are built only for
-the returned D and Z and for sinkhorn_step's dense factors.  The verifier
+and (r, n, m) views of X; for m = 1 (the scalar-block case, where a sweep
+only rescales rows and columns by phases) the applies are elementwise row
+and column scalings.  n x n block-diagonal matrices are built only for the
+returned D and Z and for sinkhorn_step's dense factors.  The verifier
 applies the diagonal blocks of D and Z the same way, so X's unitarity is its
 only dense n x n product.
 """
@@ -97,12 +99,18 @@ def _adjoints(stack: np.ndarray) -> np.ndarray:
 
 
 def _apply_left(blocks: np.ndarray, x: np.ndarray, p: BlockPartition) -> np.ndarray:
-    """block_diag(blocks) @ x as one batched matmul on the (r, m, n) view."""
+    """block_diag(blocks) @ x as one batched matmul on the (r, m, n) view, or
+    for m = 1 as a scaling of the rows."""
+    if p.m == 1:
+        return blocks.reshape(p.n, 1) * x
     return (blocks @ x.reshape(p.r, p.m, p.n)).reshape(p.n, p.n)
 
 
 def _apply_right(x: np.ndarray, blocks: np.ndarray, p: BlockPartition) -> np.ndarray:
-    """x @ block_diag(blocks) as one batched matmul on the (r, n, m) view."""
+    """x @ block_diag(blocks) as one batched matmul on the (r, n, m) view, or
+    for m = 1 as a scaling of the columns."""
+    if p.m == 1:
+        return x * blocks.reshape(1, p.n)
     y = x.reshape(p.n, p.r, p.m).transpose(1, 0, 2) @ blocks
     return y.transpose(1, 0, 2).reshape(p.n, p.n)
 
@@ -116,7 +124,8 @@ def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):
 
     upsilons, singular = polar_unitary_batch(col_sums(y, p), cfg)
     rt = _adjoints(upsilons) @ upsilons[0]
-    rt[singular] = np.eye(p.m)
+    if singular.any():
+        rt[singular] = np.eye(p.m)
     return lt, rt, _apply_right(y, rt, p)
 
 

@@ -185,8 +185,9 @@ def dft_matrix(r: int) -> np.ndarray:
     if r < 1:
         raise ValueError("dft_matrix needs r >= 1")
     idx = np.arange(r)
-    omega = np.exp(-2j * np.pi / r)
-    return omega ** np.outer(idx, idx) / np.sqrt(r)
+    # reduce jk mod r first: a power omega**(jk) with exponents up to (r-1)^2
+    # loses phase accuracy as r grows
+    return np.exp(-2j * np.pi * (np.outer(idx, idx) % r) / r) / np.sqrt(r)
 
 
 def kronecker(a, b) -> np.ndarray:

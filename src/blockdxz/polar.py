@@ -5,8 +5,10 @@ M = W S V^H as Phi = W V^H.  This is the same matrix to which the paper's
 Newton averaging Y_{k+1} = (Y_k + (Y_k^H)^{-1}) / 2 converges (Higham 1986,
 "Computing the polar decomposition - with applications"), reached without
 iterating and batched over a stack of blocks, and the singular values of the
-same call decide whether a block is singular.  An eigendecomposition route
-is kept as an independent cross-check for tests.
+same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
+its factor is its phase z/|z| and its singular value its modulus |z|, so a
+stack of them costs a few elementwise operations.  An eigendecomposition
+route is kept as an independent cross-check for tests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 from .matcore import as_matrix
 
 __all__ = ["PolarConfig", "PolarResult", "polar_unitary", "polar_oracle"]
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -52,16 +56,43 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
 
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
-    cfg.sing_tol has no well-defined factor and gets the identity.
+    cfg.sing_tol has no well-defined factor and gets the identity.  For
+    1 x 1 slices z the factor is the phase z/|z| and the singular value is
+    |z|, computed without an SVD; an exact zero gets factor 1 even under
+    sing_tol = 0, as the SVD gives.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
         raise ValueError("polar_unitary_batch needs a (count, m, m) stack")
+    if mats.shape[-1] == 1:
+        z = mats[:, 0, 0]
+        mod = np.abs(z)
+        lowest = mod.min(initial=np.inf)
+        if lowest >= _TINY and mod.max(initial=0.0) < np.inf:
+            factors = z / mod
+        else:
+            factors = _scaled_phases(z)
+        singular = mod < cfg.sing_tol
+        if lowest < cfg.sing_tol:
+            factors[singular] = 1.0
+        return factors.reshape(mats.shape), singular
     w, svals, vh = np.linalg.svd(mats)
     singular = svals[:, -1] < cfg.sing_tol
     factors = w @ vh
-    factors[singular] = np.eye(mats.shape[-1])
+    if singular.any():
+        factors[singular] = np.eye(mats.shape[-1])
     return factors, singular
+
+
+def _scaled_phases(z: np.ndarray) -> np.ndarray:
+    """z/|z| where |z| is zero, subnormal or overflows: each entry is first
+    scaled exactly by a power of two, and an exact zero gets phase 1."""
+    exponent = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
+    scaled = np.ldexp(z.real, -exponent) + 1j * np.ldexp(z.imag, -exponent)
+    with np.errstate(invalid="ignore"):
+        phases = scaled / np.abs(scaled)
+    phases[z == 0] = 1.0
+    return phases
 
 
 def polar_unitary(mat, side: str = "left", cfg: PolarConfig = PolarConfig()) -> PolarResult:

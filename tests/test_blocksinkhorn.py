@@ -21,6 +21,7 @@ from blockdxz import (
     sinkhorn_step,
     verify_decomposition,
 )
+from blockdxz.matcore import block_diag
 from refdata import PSI_TABLE, SIGMA_FACTORS_M2, SIGMA_IMAGE
 
 
@@ -172,6 +173,35 @@ def test_decompose_matches_dense_reference():
         assert np.linalg.norm(dec.Z - z) <= 1e-10
         assert [t for t, _ in dec.psi_trace] == list(range(len(trace)))
         assert np.max(np.abs(np.array([v for _, v in dec.psi_trace]) - trace)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 7, 16, 33])
+def test_scalar_decompose_matches_dense_reference(n):
+    cfg = IterationConfig(max_iter=20)
+    u = haar_random_unitary(RandomSpec(n, 800 + n))
+    d, x, z, trace = reference_decompose(u, 1, cfg)
+    dec = decompose(u, 1, cfg)
+    assert np.linalg.norm(dec.X - x) <= 1.5e-12
+    assert np.linalg.norm(dec.D - d) <= 1.5e-12
+    assert np.linalg.norm(dec.Z - z) <= 1.5e-12
+    assert [t for t, _ in dec.psi_trace] == list(range(len(trace)))
+    # psi = n^2 - |Btr|^2 with Btr a sum of n^2 entries here, so its rounding
+    # grows with n^2: the two summation orders differ by ~5e-12 at n = 33
+    psi_bound = 64 * np.finfo(float).eps * n**2
+    assert np.max(np.abs(np.array([v for _, v in dec.psi_trace]) - trace)) <= psi_bound
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_scalar_applies_match_block_diagonal_products(n):
+    from blockdxz.blocksinkhorn import _apply_left, _apply_right
+
+    rng = np.random.default_rng(n)
+    p = BlockPartition(n, 1)
+    blocks = np.exp(2j * np.pi * rng.random((n, 1, 1)))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    dense = block_diag(blocks)
+    assert np.abs(_apply_left(blocks, x, p) - dense @ x).max() <= 1e-15
+    assert np.abs(_apply_right(x, blocks, p) - x @ dense).max() <= 1e-15
 
 
 def test_decompose_identity():

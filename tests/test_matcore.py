@@ -154,6 +154,13 @@ def test_dft_examples():
     assert frobenius_distance(f3.conj().T @ f3, np.eye(3)) < 1e-14
 
 
+@pytest.mark.parametrize("r", [64, 512])
+def test_dft_phases_stay_accurate_at_large_r(r):
+    f = dft_matrix(r)
+    assert frobenius_distance(f.conj().T @ f, np.eye(r)) <= 1e-13
+    assert np.abs(f - np.fft.fft(np.eye(r), norm="ortho")).max() <= 1e-14
+
+
 def test_kronecker_examples():
     assert np.array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
     swap = np.array([[0, 1], [1, 0]])

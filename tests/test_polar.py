@@ -119,6 +119,62 @@ def test_batch_matches_scalar_path():
         assert np.linalg.norm(factors[i] - single) < 1e-12
 
 
+def svd_route(z, sing_tol):
+    """The general kernel written out for 1 x 1 blocks: W V^H from an SVD,
+    identity where the singular value is below sing_tol."""
+    w, svals, vh = np.linalg.svd(np.asarray(z, dtype=complex).reshape(-1, 1, 1))
+    singular = svals[:, -1] < sing_tol
+    factors = w @ vh
+    factors[singular] = 1.0
+    return factors, singular
+
+
+def assert_matches_svd_route(z, sing_tol):
+    factors, singular = polar_unitary_batch(np.reshape(z, (-1, 1, 1)), PolarConfig(sing_tol=sing_tol))
+    expected, expected_singular = svd_route(z, sing_tol)
+    assert factors.shape == expected.shape
+    assert np.abs(factors - expected).max() <= 1e-15
+    assert np.array_equal(singular, expected_singular)
+    return factors, singular
+
+
+def test_scalar_blocks_match_svd_route_on_random_entries():
+    rng = np.random.default_rng(5)
+    scales = 10.0 ** rng.uniform(-8, 8, 500)
+    z = scales * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+    for sing_tol in (0.0, 1e-10, 1e-3):
+        assert_matches_svd_route(z, sing_tol)
+
+
+def test_scalar_blocks_flag_moduli_either_side_of_sing_tol():
+    tol = 1e-10
+    phases = np.exp(1j * np.linspace(-3, 3, 8))
+    z = np.concatenate([tol * (1 + 1e-9) * phases, tol * (1 - 1e-9) * phases])
+    factors, singular = assert_matches_svd_route(z, tol)
+    assert not singular[:8].any() and singular[8:].all()
+    assert np.array_equal(factors[8:, 0, 0], np.ones(8))
+
+
+def test_scalar_blocks_with_zero_and_subnormal_entries():
+    z = np.array([0.0, 5e-324, 3e-320 - 4e-320j, -1e-310j, 0.6 - 0.8j])
+    for sing_tol in (0.0, 1e-10):
+        factors, _ = assert_matches_svd_route(z, sing_tol)
+        assert np.abs(np.abs(factors) - 1).max() <= 1e-15
+
+
+def test_scalar_block_whose_modulus_overflows_keeps_its_phase():
+    # |z| overflows to inf here; the SVD route returns 1, the phase is (1 + i)/sqrt(2)
+    factors, singular = polar_unitary_batch(np.full((2, 1, 1), 1.5e308 + 1.5e308j))
+    assert np.abs(factors - (1 + 1j) / np.sqrt(2)).max() <= 1e-15
+    assert not singular.any()
+
+
+def test_scalar_zero_block_gets_factor_one_without_tolerance():
+    factors, singular = polar_unitary_batch(np.zeros((3, 1, 1)), PolarConfig(sing_tol=0.0))
+    assert np.array_equal(factors, np.ones((3, 1, 1), dtype=complex))
+    assert not singular.any()
+
+
 @pytest.mark.parametrize("kwargs", [{"newton_iters": 0}, {"newton_iters": -3}, {"sing_tol": -1e-10},
                                     {"sing_tol": float("nan")}, {"sing_tol": float("inf")}])
 def test_config_rejects_bad_values(kwargs):
