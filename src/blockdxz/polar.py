@@ -59,7 +59,10 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
     cfg.sing_tol has no well-defined factor and gets the identity.  For
     1 x 1 slices z the factor is the phase z/|z| and the singular value is
     |z|, computed without an SVD; an exact zero gets factor 1 even under
-    sing_tol = 0, as the SVD gives.
+    sing_tol = 0, as the SVD gives.  A non-finite entry raises ValueError;
+    the check runs only on the branches such a stack leads to (a zero,
+    subnormal or overflowing |z|, a failed SVD, or a singular value below
+    sing_tol or NaN), so a well-conditioned finite stack pays no scan.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
@@ -71,17 +74,29 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
         if lowest >= _TINY and mod.max(initial=0.0) < np.inf:
             factors = z / mod
         else:
+            _reject_non_finite(z)
             factors = _scaled_phases(z)
         singular = mod < cfg.sing_tol
         if lowest < cfg.sing_tol:
             factors[singular] = 1.0
         return factors.reshape(mats.shape), singular
-    w, svals, vh = np.linalg.svd(mats)
-    singular = svals[:, -1] < cfg.sing_tol
+    try:
+        w, svals, vh = np.linalg.svd(mats)
+    except np.linalg.LinAlgError:
+        _reject_non_finite(mats)  # LAPACK does not converge on a NaN entry
+        raise
+    lowest = svals[:, -1]
+    singular = lowest < cfg.sing_tol
     factors = w @ vh
-    if singular.any():
+    if not lowest.min(initial=np.inf) >= cfg.sing_tol:  # or NaN, as an inf entry gives
+        _reject_non_finite(mats)
         factors[singular] = np.eye(mats.shape[-1])
     return factors, singular
+
+
+def _reject_non_finite(mats: np.ndarray) -> None:
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
 
 
 def _scaled_phases(z: np.ndarray) -> np.ndarray:

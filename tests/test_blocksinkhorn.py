@@ -367,6 +367,21 @@ def test_verify_matches_dense_formulas():
         for key in ("reconstruction", "d_unitarity", "z_unitarity", "d_off_diagonal", "z_off_diagonal"):
             assert report[key] <= 1e-13 * n, key
 
+    # at n = 256 the unitarity residuals of X, and of D and Z at m = 128,
+    # take the real-product route.  psi_x = n^2 - |Btr|^2 rounds at ~eps n^2:
+    # at 256/1 the per-block sum of dense_residuals is 7e-10 off the exact
+    # value, above 1e-13 n
+    for seed, (n, m) in enumerate([(256, 1), (256, 128)]):
+        u = haar_random_unitary(RandomSpec(n, 75 + seed))
+        dec = decompose(u, m, IterationConfig(max_iter=20))
+        report = verify_decomposition(u, dec, 1e-3).as_dict()
+        dense = dense_residuals(u, dec.D, dec.X, dec.Z, m)
+        assert abs(report.pop("psi_x") - dense.pop("psi_x")) <= 64 * np.finfo(float).eps * n**2
+        for key, value in dense.items():
+            assert abs(report[key] - value) <= 1e-13 * n, key
+        for key in ("reconstruction", "d_unitarity", "z_unitarity", "d_off_diagonal", "z_off_diagonal"):
+            assert report[key] <= 1e-13 * n, key
+
     # exact integer factors give exactly zero residuals on both paths
     image = tuple(int(v) + 1 for v in np.random.default_rng(5).permutation(12))
     cases = []

@@ -264,6 +264,34 @@ def test_block_helpers_match_explicit_slicing(n, m):
     assert abs(unitarity_residual(2 * u) - 3 * np.sqrt(n)) < 1e-12
 
 
+def dense_unitarity_residual(a):
+    """||a^H a - I||_F from one complex product, over every slice of a stack."""
+    return float(np.linalg.norm(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(a.shape[-1])))
+
+
+def test_unitarity_residual_matches_complex_product_on_both_routes():
+    # from n = 128 on the residual comes from real products; below it the
+    # complex product itself runs, so the two agree exactly
+    eps = 1e-4
+    k = np.random.default_rng(2).standard_normal((256, 256))
+    cases = [haar_random_unitary(RandomSpec(n, n)) for n in (127, 128, 256, 512)]
+    cases.append(np.stack([haar_random_unitary(RandomSpec(128, 1)), np.eye(128) + 1j * eps * (k - k.T)[:128, :128]]))
+    # I + i eps K has its error in Im(a^H a), I + eps S in Re(a^H a)
+    for n in (128, 256):
+        kn = k[:n, :n]
+        cases += [np.eye(n) + 1j * eps * (kn - kn.T), np.eye(n) + eps * (kn + kn.T) + 0j]
+    for a in cases:
+        n = a.shape[-1]
+        expected = dense_unitarity_residual(a)
+        assert abs(unitarity_residual(a) - expected) <= 1e-13 * n
+        if n < 128:
+            assert unitarity_residual(a) == expected
+
+    perm = Permutation(tuple(int(v) + 1 for v in np.random.default_rng(3).permutation(256))).to_matrix()
+    assert unitarity_residual(perm) == 0.0
+    assert unitarity_residual(np.eye(256, dtype=complex)) == 0.0
+
+
 def test_cmat_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))

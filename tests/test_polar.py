@@ -175,6 +175,15 @@ def test_scalar_zero_block_gets_factor_one_without_tolerance():
     assert not singular.any()
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(1, np.nan)])
+def test_batch_rejects_non_finite_entries(m, bad):
+    mats = np.tile(np.eye(m, dtype=complex), (3, 1, 1))
+    mats[1, 0, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        polar_unitary_batch(mats)
+
+
 @pytest.mark.parametrize("kwargs", [{"newton_iters": 0}, {"newton_iters": -3}, {"sing_tol": -1e-10},
                                     {"sing_tol": float("nan")}, {"sing_tol": float("inf")}])
 def test_config_rejects_bad_values(kwargs):
