@@ -10,18 +10,14 @@ construction; Fourier conjugation yields the block-circulant variant.
 from .matcore import (
     BlockPartition,
     RandomSpec,
-    adjoint,
     as_matrix,
     block,
     block_col_sum,
     block_row_sum,
     dft_matrix,
-    frobenius_distance,
     haar_random_unitary,
     is_unitary,
-    kronecker,
     load_matrix,
-    multiply,
     save_matrix,
 )
 from .polar import PolarConfig, PolarResult, polar_oracle, polar_unitary
@@ -55,7 +51,6 @@ from .structure import (
     xu_to_core,
 )
 from .permdecomp import (
-    EdgeColoring,
     Permutation,
     block_degree_matrix,
     complex_perm_dxz,

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,42 +40,16 @@ class _UsageError(Exception):
     pass
 
 
-class _DataError(Exception):
-    pass
-
-
-@dataclass
-class RunReport:
-    command: str
-    input_digest: str = ""
-    partition: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    psi_trace: list = field(default_factory=list)
-    residuals: dict = field(default_factory=dict)
-    converged: bool = True
-    wall_time_s: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
-
-
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load(path) -> np.ndarray:
-    try:
-        return load_matrix(path)
-    except (OSError, ValueError) as exc:
-        raise _DataError(str(exc)) from exc
-
-
 def _load_unitary(path) -> np.ndarray:
-    mat = _load(path)
+    mat = load_matrix(path)
     if mat.shape[0] != mat.shape[1]:
-        raise _DataError(f"{path}: matrix is not square")
+        raise ValueError(f"{path}: matrix is not square")
     if unitarity_residual(mat) > 1e-8:
-        raise _DataError(f"{path}: matrix is not unitary within 1e-8")
+        raise ValueError(f"{path}: matrix is not unitary within 1e-8")
     return mat
 
 
@@ -95,6 +69,21 @@ def _iteration_config(args) -> IterationConfig:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+
+
+def _load_and_decompose(args) -> tuple[np.ndarray, DxzDecomposition]:
+    u = _load_unitary(args.input)
+    _partition(u.shape[0], args.m)
+    return u, decompose(u, args.m, _iteration_config(args))
+
+
+def _save_factors(outdir, **factors) -> Path:
+    """Write each factor to <outdir>/<name>.json, in the order given."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, mat in factors.items():
+        save_matrix(outdir / f"{name}.json", mat)
+    return outdir
 
 
 def _config_dict(cfg: IterationConfig) -> dict:
@@ -128,50 +117,39 @@ def _verify_tolerance(dec: DxzDecomposition) -> float:
     return max(1e-8, 10.0 * psi_final, 10.0 * (psi_final / dec.partition.n) ** 0.5)
 
 
-def _run_report(args, p: BlockPartition, residuals: dict, converged: bool, started: float,
-                psi_trace=()) -> RunReport:
-    return RunReport(
-        command=" ".join(args.argv) if args.echo is None else args.echo,
-        input_digest=_digest(args.input),
-        partition={"n": p.n, "m": p.m, "r": p.r, "q": p.q},
-        config=_config_dict(_iteration_config(args)),
-        psi_trace=[[t, value] for t, value in psi_trace],
-        residuals=residuals,
-        converged=converged,
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
-def _emit_report(args, report: RunReport):
+def _write_report(args, outdir: Path, p: BlockPartition, residuals: dict, converged: bool, started: float,
+                  psi_trace=()) -> None:
+    """Write <outdir>/report.json, and print it under --json."""
+    text = json.dumps({
+        "command": " ".join(args.argv),
+        "input_digest": _digest(args.input),
+        "partition": {"n": p.n, "m": p.m, "r": p.r, "q": p.q},
+        "config": _config_dict(_iteration_config(args)),
+        "psi_trace": [[t, value] for t, value in psi_trace],
+        "residuals": residuals,
+        "converged": converged,
+        "wall_time_s": time.perf_counter() - started,
+    }, indent=2)
+    (outdir / "report.json").write_text(text)
     if args.json:
-        print(report.to_json())
-    else:
-        final_t, final_psi = report.psi_trace[-1] if report.psi_trace else (0, 0.0)
-        print(f"converged: {report.converged} after {final_t} iterations, psi = {final_psi:.3e}")
-        print(f"reconstruction residual: {report.residuals.get('reconstruction', 0.0):.3e}")
+        print(text)
 
 
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
-    u = _load_unitary(args.input)
-    _partition(u.shape[0], args.m)
-    dec = decompose(u, args.m, _iteration_config(args))
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_matrix(outdir / "D.json", dec.D)
-    save_matrix(outdir / "X.json", dec.X)
-    save_matrix(outdir / "Z.json", dec.Z)
-    verification = verify_decomposition(u, dec, _verify_tolerance(dec))
-    report = _run_report(args, dec.partition, verification.as_dict(), dec.converged, started, dec.psi_trace)
-    (outdir / "report.json").write_text(report.to_json())
-    _emit_report(args, report)
+    u, dec = _load_and_decompose(args)
+    outdir = _save_factors(args.output, D=dec.D, X=dec.X, Z=dec.Z)
+    verification = verify_decomposition(u, dec, _verify_tolerance(dec)).as_dict()
+    _write_report(args, outdir, dec.partition, verification, dec.converged, started, dec.psi_trace)
+    if not args.json:
+        final_t, final_psi = dec.psi_trace[-1]
+        print(f"converged: {dec.converged} after {final_t} iterations, psi = {final_psi:.3e}")
+        print(f"reconstruction residual: {verification['reconstruction']:.3e}")
     return EXIT_OK if dec.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_trace(args) -> int:
-    u = _load_unitary(args.input)
-    _partition(u.shape[0], args.m)
-    dec = decompose(u, args.m, _iteration_config(args))
+    _, dec = _load_and_decompose(args)
     print(f"  t  psi (m={args.m})")
     for t, value in dec.psi_trace:
         print(f"{t:3d}  {value:.3f}")
@@ -179,10 +157,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    u = _load(args.u)
-    d = _load(args.d)
-    x = _load(args.x)
-    z = _load(args.z)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _UsageError("tol must be finite and non-negative")
+    u, d, x, z = map(load_matrix, (args.u, args.d, args.x, args.z))
     p = _partition(u.shape[0], args.m)
     dec = DxzDecomposition(D=d, X=x, Z=z, partition=p)
     try:
@@ -211,26 +188,22 @@ def cmd_perm(args) -> int:
     exact = bool(np.array_equal(dec.D @ dec.X @ dec.Z, perm.to_matrix()))
     print(f"product check D X Z = P: {'exact' if exact else 'FAILED'}")
     if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        save_matrix(outdir / "D.json", dec.D)
-        save_matrix(outdir / "X.json", dec.X)
-        save_matrix(outdir / "Z.json", dec.Z)
+        _save_factors(args.output, D=dec.D, X=dec.X, Z=dec.Z)
     return EXIT_OK if exact else EXIT_NOT_CONVERGED
 
 
 def cmd_random(args) -> int:
     if args.n < 1:
         raise _UsageError("n must be >= 1")
+    if args.seed < 0:
+        raise _UsageError("seed must be >= 0")
     save_matrix(args.output, haar_random_unitary(RandomSpec(args.n, args.seed)))
     print(args.output)
     return EXIT_OK
 
 
 def cmd_biunitary(args) -> int:
-    u = _load_unitary(args.input)
-    _partition(u.shape[0], args.m)
-    dec = decompose(u, args.m, _iteration_config(args))
+    u, dec = _load_and_decompose(args)
     v, w = normalize_biunitary(*biunitary_from_dxz(dec))
     residual = float(np.linalg.norm(u @ v.stacked - w.stacked))
     _print_matrix(v.stacked, "V =")
@@ -244,31 +217,18 @@ def cmd_conjugate(args) -> int:
     u = _load_unitary(args.input)
     p = _partition(u.shape[0], args.m)
     conj = conjugate_decompose(u, args.m, _iteration_config(args))
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_matrix(outdir / "C.json", conj.C)
-    save_matrix(outdir / "A.json", conj.A)
-    save_matrix(outdir / "Y.json", conj.Y)
+    outdir = _save_factors(args.output, C=conj.C, A=conj.A, Y=conj.Y)
     residuals = {
         "reconstruction": float(np.linalg.norm(conj.C @ identity_plus_core(conj.A, p) @ conj.Y - u)),
         "c_circulant": bool(is_block_circulant(conj.C, p)),
         "y_circulant": bool(is_block_circulant(conj.Y, p)),
     }
-    report = _run_report(args, p, residuals, conj.converged, started)
-    (outdir / "report.json").write_text(report.to_json())
-    if args.json:
-        print(report.to_json())
-    else:
+    _write_report(args, outdir, p, residuals, conj.converged, started)
+    if not args.json:
         print(f"converged: {conj.converged} after {conj.iterations_used} iterations")
         print(f"reconstruction residual: {residuals['reconstruction']:.3e}")
         print(f"C block-circulant: {residuals['c_circulant']}, Y block-circulant: {residuals['y_circulant']}")
     return EXIT_OK if conj.converged else EXIT_NOT_CONVERGED
-
-
-def _add_iteration_flags(sub):
-    sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--psi-tol", type=float, default=1e-6)
-    sub.add_argument("--polar-iters", type=int, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,21 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blockdxz",
         description="Block DXZ decomposition toolkit for unitary matrices (CMAT-JSON files)",
     )
-    parser.add_argument("--echo", help=argparse.SUPPRESS, default=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    s = sub.add_parser("decompose", help="decompose a unitary into D, X, Z")
-    s.add_argument("input")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--output", "-o", default=".")
-    s.add_argument("--json", action="store_true")
-    _add_iteration_flags(s)
+    # flags shared by the subcommands that run the iteration on one input
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("input")
+    target.add_argument("--m", type=int, required=True)
+    saved = argparse.ArgumentParser(add_help=False)
+    saved.add_argument("--output", "-o", default=".")
+    saved.add_argument("--json", action="store_true")
+    iteration = argparse.ArgumentParser(add_help=False)
+    iteration.add_argument("--max-iter", type=int, default=200)
+    iteration.add_argument("--psi-tol", type=float, default=1e-6)
+    iteration.add_argument("--polar-iters", type=int, default=10)
+
+    s = sub.add_parser("decompose", parents=[target, saved, iteration], help="decompose a unitary into D, X, Z")
     s.set_defaults(func=cmd_decompose)
 
-    s = sub.add_parser("trace", help="print the psi progress table")
-    s.add_argument("input")
-    s.add_argument("--m", type=int, required=True)
-    _add_iteration_flags(s)
+    s = sub.add_parser("trace", parents=[target, iteration], help="print the psi progress table")
     s.set_defaults(func=cmd_trace)
 
     s = sub.add_parser("verify", help="check a claimed decomposition")
@@ -315,18 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--output", "-o", required=True)
     s.set_defaults(func=cmd_random)
 
-    s = sub.add_parser("biunitary", help="extract the biunitary vector pair")
-    s.add_argument("input")
-    s.add_argument("--m", type=int, required=True)
-    _add_iteration_flags(s)
+    s = sub.add_parser("biunitary", parents=[target, iteration], help="extract the biunitary vector pair")
     s.set_defaults(func=cmd_biunitary)
 
-    s = sub.add_parser("conjugate", help="circulant-conjugate decomposition")
-    s.add_argument("input")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--output", "-o", default=".")
-    s.add_argument("--json", action="store_true")
-    _add_iteration_flags(s)
+    s = sub.add_parser("conjugate", parents=[target, saved, iteration], help="circulant-conjugate decomposition")
     s.set_defaults(func=cmd_conjugate)
 
     return parser
@@ -344,10 +299,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

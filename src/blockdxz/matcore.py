@@ -21,8 +21,6 @@ __all__ = [
     "RandomSpec",
     "as_matrix",
     "as_partitioned",
-    "multiply",
-    "adjoint",
     "is_unitary",
     "block",
     "block_row_sum",
@@ -36,9 +34,7 @@ __all__ = [
     "block_diag",
     "unitarity_residual",
     "dft_matrix",
-    "kronecker",
     "haar_random_unitary",
-    "frobenius_distance",
     "save_matrix",
     "load_matrix",
 ]
@@ -86,19 +82,6 @@ def as_partitioned(a, p: BlockPartition) -> np.ndarray:
     if a.shape != (p.n, p.n):
         raise ValueError(f"matrix shape {a.shape} does not match partition n={p.n}")
     return a
-
-
-def multiply(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 # block side from which unitarity_residual forms a^H a from real products
@@ -211,10 +194,6 @@ def dft_matrix(r: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(idx, idx) % r) / r) / np.sqrt(r)
 
 
-def kronecker(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     R-diagonal phase correction.  Deterministic per seed."""
@@ -226,14 +205,6 @@ def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
-
-
-def frobenius_distance(a, b) -> float:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 # CMAT-JSON: {"rows": R, "cols": C, "data": [[[re, im], ...], ...]} row-major.
@@ -271,7 +242,7 @@ def load_matrix(path) -> np.ndarray:
         raise ValueError(f"{path}: data does not match declared shape {rows}x{cols}")
     try:
         a = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc
     # complex() takes true/false as 1/0; text without either literal holds no
     # bool, so large files of numbers skip the per-entry scan

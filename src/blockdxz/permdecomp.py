@@ -20,7 +20,6 @@ from .matcore import BlockPartition, as_matrix
 
 __all__ = [
     "Permutation",
-    "EdgeColoring",
     "block_degree_matrix",
     "edge_color",
     "perm_dxz",
@@ -59,13 +58,6 @@ class Permutation:
         return mat
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """color[j] is the color (0..m-1) of the 1 in row j (1-based rows)."""
-
-    color: dict[int, int]
-
-
 def block_degree_matrix(perm: Permutation, m: int) -> np.ndarray:
     """r x r count of ones of P per block; every line sums to m."""
     p = BlockPartition(perm.n, m)
@@ -99,9 +91,10 @@ def _perfect_matching(adj: list[list[tuple[int, int]]], r: int) -> dict[int, tup
     return match
 
 
-def edge_color(perm: Permutation, m: int) -> EdgeColoring:
-    """Proper m-edge-coloring of the block multigraph of P, relabeled so that
-    in block column 1 every edge's color equals its intra-column index."""
+def edge_color(perm: Permutation, m: int) -> dict[int, int]:
+    """Proper m-edge-coloring of the block multigraph of P as {row: color}:
+    the 1 in row j (1-based) gets color 0..m-1, relabeled so that in block
+    column 1 every edge's color equals its intra-column index."""
     p = BlockPartition(perm.n, m)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(p.r)]
     for j, k in enumerate(perm.image):
@@ -123,7 +116,7 @@ def edge_color(perm: Permutation, m: int) -> EdgeColoring:
     for j, k in enumerate(perm.image):
         if (k - 1) // m == 0:
             relabel[color[j]] = (k - 1) % m
-    return EdgeColoring({j + 1: relabel[color[j]] for j in range(perm.n)})
+    return {j + 1: relabel[color[j]] for j in range(perm.n)}
 
 
 def perm_dxz(perm: Permutation, m: int) -> DxzDecomposition:
@@ -135,7 +128,7 @@ def perm_dxz(perm: Permutation, m: int) -> DxzDecomposition:
     x = np.zeros((p.n, p.n), dtype=complex)
     z = np.zeros((p.n, p.n), dtype=complex)
     for j, k in enumerate(perm.image):
-        c = coloring.color[j + 1]
+        c = coloring[j + 1]
         brow, irow = j // m, j % m
         bcol, icol = (k - 1) // m, (k - 1) % m
         d[brow * m + irow, brow * m + c] = 1.0

@@ -110,16 +110,13 @@ def _scaled_phases(z: np.ndarray) -> np.ndarray:
     return phases
 
 
-def polar_unitary(mat, side: str = "left", cfg: PolarConfig = PolarConfig()) -> PolarResult:
-    """Unitary factor Phi of M = Phi P (side="left") or Upsilon of M = Q Upsilon
-    (side="right").
+def polar_unitary(mat, cfg: PolarConfig = PolarConfig()) -> PolarResult:
+    """Unitary factor of one square matrix M: Phi of M = Phi P, which is also
+    Upsilon of M = Q Upsilon, so the paper's row and column sweeps share it.
 
-    Both sides share the same unitary factor, so the flag only mirrors the two
-    notations in which callers work.  A singular matrix (see
-    polar_unitary_batch) gives the identity with singular=True, never an error.
+    A singular matrix (see polar_unitary_batch) gives the identity with
+    singular=True, never an error.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     mat = as_matrix(mat)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("polar_unitary needs a square matrix")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, psi
 from .matcore import (
-    BlockPartition, as_matrix, as_partitioned, block_diag, block_grid, diag_blocks, dft_matrix, kronecker,
+    BlockPartition, as_matrix, as_partitioned, block_diag, block_grid, diag_blocks, dft_matrix,
     line_sum_residual, off_block_norm, unitarity_residual,
 )
 
@@ -112,7 +112,7 @@ class ConjugateDecomposition:
 
 def fourier_transform(p: BlockPartition) -> np.ndarray:
     """T = F_r (x) I_m, the change of basis that block-diagonalizes XU members."""
-    return kronecker(dft_matrix(p.r), np.eye(p.m))
+    return np.kron(dft_matrix(p.r), np.eye(p.m, dtype=complex))
 
 
 def _fourier_conjugate(a: np.ndarray, p: BlockPartition, inverse: bool = False) -> np.ndarray:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockdxz
 from blockdxz import Permutation, load_matrix, save_matrix
 from blockdxz.cli import EXIT_DATA, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from refdata import SIGMA_FACTORS_M2, SIGMA_IMAGE, U6
@@ -27,6 +31,8 @@ def test_random_command(tmp_path, capsys):
     single = tmp_path / "c.json"
     assert main(["random", "--n", "1", "-o", str(single)]) == EXIT_OK
     assert abs(abs(load_matrix(single)[0, 0]) - 1.0) < 1e-12
+    assert main(["random", "--n", "6", "--seed", "-1", "-o", str(tmp_path / "d.json")]) == EXIT_USAGE
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_decompose_command(tmp_path, u6_file, capsys):
@@ -93,6 +99,7 @@ def test_usage_and_data_errors(tmp_path, u6_file):
         {"rows": 1, "cols": 1, "data": [[5]]},
         {"rows": True, "cols": True, "data": [[[1, 0]]]},
         {"rows": 1, "cols": False, "data": [[]]},
+        {"rows": 1, "cols": 1, "data": [[[10**400, 0]]]},  # an integer beyond float range
     ],
 )
 def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):
@@ -147,6 +154,16 @@ def test_verify_printed_factorization(tmp_path, capsys):
     argv_bad = ["verify", str(paths["u"]), str(paths["z"]), str(paths["x"]), str(paths["d"]),
                 "--m", "2", "--tol", "1e-8"]
     assert main(argv_bad) == EXIT_NOT_CONVERGED
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
+    paths = []
+    for name, a in zip("udxz", (Permutation(SIGMA_IMAGE).to_matrix(),) + SIGMA_FACTORS_M2):
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_matrix(paths[-1], a)
+    assert main(["verify", *paths, "--m", "2", f"--tol={tol}"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_perm_command(tmp_path, capsys):
@@ -241,3 +258,21 @@ def test_report_records_the_argv_given_to_main(tmp_path, u6_file, monkeypatch):
         assert main(argv) in (EXIT_OK, EXIT_NOT_CONVERGED)
         report = json.loads((tmp_path / command / "report.json").read_text())
         assert report["command"] == " ".join(argv)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["-m", "blockdxz.cli"], ["-c", "from blockdxz.cli import run; run()"]],
+    ids=["module", "script"],
+)
+def test_console_entry_point_exit_status(tmp_path, entry):
+    # the blockdxz script calls cli.run(), which hands main's code to SystemExit
+    src = str(Path(blockdxz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def status(*argv):
+        return subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True).returncode
+
+    assert status("random", "--n", "4", "-o", str(tmp_path / "u.json")) == EXIT_OK
+    assert status("decompose", str(tmp_path / "u.json"), "--m", "3", "-o", str(tmp_path)) == EXIT_USAGE
+    assert status("trace", str(tmp_path / "missing.json"), "--m", "1") == EXIT_DATA

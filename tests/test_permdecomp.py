@@ -63,7 +63,7 @@ def test_block_degree_line_sums():
 def test_edge_color_identity():
     coloring = edge_color(Permutation((1, 2, 3, 4, 5, 6)), 2)
     for j in range(1, 7):
-        assert coloring.color[j] == (j - 1) % 2
+        assert coloring[j] == (j - 1) % 2
 
 
 def proper_coloring(perm, m, coloring):
@@ -71,7 +71,7 @@ def proper_coloring(perm, m, coloring):
     rows = {b: set() for b in range(r)}
     cols = {b: set() for b in range(r)}
     for j, k in enumerate(perm.image):
-        c = coloring.color[j + 1]
+        c = coloring[j + 1]
         assert 0 <= c < m
         rows[j // m].add(c)
         cols[(k - 1) // m].add(c)

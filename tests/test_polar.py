@@ -14,7 +14,7 @@ def test_unitary_input_is_fixed_point():
     for seed in range(20):
         u = haar_random_unitary(RandomSpec(3, seed))
         for iters in (1, 2, 10):
-            factor, singular = polar_unitary(u, "left", PolarConfig(newton_iters=iters))
+            factor, singular = polar_unitary(u, PolarConfig(newton_iters=iters))
             assert not singular
             assert np.linalg.norm(factor - u) < 1e-12
 
@@ -56,7 +56,7 @@ def test_hermitian_positive_residue():
     cfg = PolarConfig()
     for seed in range(50):
         mat = random_complex(4, seed)
-        factor, singular = polar_unitary(mat, "left", cfg)
+        factor, singular = polar_unitary(mat, cfg)
         assert not singular
         h = factor.conj().T @ mat
         assert np.linalg.norm(h - h.conj().T) < 1e-6
@@ -72,15 +72,18 @@ def test_recovers_unitary_factor_of_polar_product():
         evals = np.concatenate([[1.0, 1e-3], rng.uniform(1e-3, 1.0, 1)])
         basis = haar_random_unitary(RandomSpec(3, seed + 5000))
         pos = basis @ np.diag(evals) @ basis.conj().T
-        factor, _ = polar_unitary(phi @ pos, "left", cfg)
+        factor, _ = polar_unitary(phi @ pos, cfg)
         assert np.linalg.norm(factor - phi) < 1e-8
 
 
 def test_left_and_right_agree():
+    # one factor serves M = Phi P and M = Q Phi: both P = Phi^H M and
+    # Q = M Phi^H come out Hermitian positive definite
     mat = random_complex(3, 9)
-    left, _ = polar_unitary(mat, "left")
-    right, _ = polar_unitary(mat, "right")
-    assert np.array_equal(left, right)
+    factor, _ = polar_unitary(mat)
+    for h in (factor.conj().T @ mat, mat @ factor.conj().T):
+        assert np.linalg.norm(h - h.conj().T) < 1e-12
+        assert np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() > 0
 
 
 def test_singular_inputs():
@@ -96,8 +99,6 @@ def test_singular_inputs():
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         polar_unitary(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        polar_unitary(np.eye(2), side="up")
 
 
 def test_factor_is_unitary_even_when_badly_conditioned():
