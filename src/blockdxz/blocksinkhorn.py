@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (
-    BlockPartition, as_matrix, as_partitioned, block_diag, block_grid, col_sums, diag_blocks,
-    line_sum_residual, off_block_norm, row_sums, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, block_grid,
+    col_sums, diag_blocks, line_sum_residual, off_block_norm, row_sums, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch
 
@@ -92,27 +92,6 @@ def psi(mat, p: BlockPartition) -> float:
 
 def _psi(x: np.ndarray, p: BlockPartition) -> float:
     return float(p.n**2 - abs(_block_trace(x, p)) ** 2)
-
-
-def _adjoints(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
-
-
-def _apply_left(blocks: np.ndarray, x: np.ndarray, p: BlockPartition) -> np.ndarray:
-    """block_diag(blocks) @ x as one batched matmul on the (r, m, n) view, or
-    for m = 1 as a scaling of the rows."""
-    if p.m == 1:
-        return blocks.reshape(p.n, 1) * x
-    return (blocks @ x.reshape(p.r, p.m, p.n)).reshape(p.n, p.n)
-
-
-def _apply_right(x: np.ndarray, blocks: np.ndarray, p: BlockPartition) -> np.ndarray:
-    """x @ block_diag(blocks) as one batched matmul on the (r, n, m) view, or
-    for m = 1 as a scaling of the columns."""
-    if p.m == 1:
-        return x * blocks.reshape(1, p.n)
-    y = x.reshape(p.n, p.r, p.m).transpose(1, 0, 2) @ blocks
-    return y.transpose(1, 0, 2).reshape(p.n, p.n)
 
 
 def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):

@@ -216,6 +216,8 @@ def cmd_conjugate(args) -> int:
     started = time.perf_counter()
     u = _load_unitary(args.input)
     p = _partition(u.shape[0], args.m)
+    if p.q == 0:
+        raise _UsageError(f"conjugate needs m < n (the core A would be 0 x 0), got m = n = {p.n}")
     conj = conjugate_decompose(u, args.m, _iteration_config(args))
     outdir = _save_factors(args.output, C=conj.C, A=conj.A, Y=conj.Y)
     residuals = {

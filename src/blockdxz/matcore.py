@@ -160,6 +160,27 @@ def block_diag(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _apply_left(blocks: np.ndarray, x: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """block_diag(blocks) @ x as one batched matmul on the (r, m, n) view, or
+    for m = 1 as a scaling of the rows."""
+    if p.m == 1:
+        return blocks.reshape(p.n, 1) * x
+    return (blocks @ x.reshape(p.r, p.m, p.n)).reshape(p.n, p.n)
+
+
+def _apply_right(x: np.ndarray, blocks: np.ndarray, p: BlockPartition) -> np.ndarray:
+    """x @ block_diag(blocks) as one batched matmul on the (r, n, m) view, or
+    for m = 1 as a scaling of the columns."""
+    if p.m == 1:
+        return x * blocks.reshape(1, p.n)
+    y = x.reshape(p.n, p.r, p.m).transpose(1, 0, 2) @ blocks
+    return y.transpose(1, 0, 2).reshape(p.n, p.n)
+
+
 def block(a, p: BlockPartition, j: int, k: int) -> np.ndarray:
     """The m x m block at block row j, block column k (1-based)."""
     a = as_partitioned(a, p)
@@ -215,7 +236,7 @@ def save_matrix(path, a) -> None:
     payload = {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": [[[float(v.real), float(v.imag)] for v in row] for row in a],
+        "data": np.stack((a.real, a.imag), axis=-1).tolist(),
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -226,7 +247,7 @@ def load_matrix(path) -> np.ndarray:
     text = Path(path).read_text()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
         raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
@@ -234,16 +255,12 @@ def load_matrix(path) -> np.ndarray:
     # JSON true/false decode to bool, a subclass of int
     if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
         raise ValueError(f"{path}: invalid dimensions rows={rows}, cols={cols}")
-    if not (
-        isinstance(data, list)
-        and len(data) == rows
-        and all(isinstance(row, list) and len(row) == cols for row in data)
-    ):
-        raise ValueError(f"{path}: data does not match declared shape {rows}x{cols}")
     try:
         a = np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc
+    if a.shape != (rows, cols):
+        raise ValueError(f"{path}: data does not match declared shape {rows}x{cols}")
     # complex() takes true/false as 1/0; text without either literal holds no
     # bool, so large files of numbers skip the per-entry scan
     if ("true" in text or "false" in text) and any(

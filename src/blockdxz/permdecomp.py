@@ -52,18 +52,14 @@ class Permutation:
         return cls(values)
 
     def to_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=complex)
-        for j, k in enumerate(self.image):
-            mat[j, k - 1] = 1.0
-        return mat
+        return np.eye(self.n, dtype=complex)[np.array(self.image) - 1]
 
 
 def block_degree_matrix(perm: Permutation, m: int) -> np.ndarray:
     """r x r count of ones of P per block; every line sums to m."""
     p = BlockPartition(perm.n, m)
     deg = np.zeros((p.r, p.r), dtype=int)
-    for j, k in enumerate(perm.image):
-        deg[j // m, (k - 1) // m] += 1
+    np.add.at(deg, (np.arange(p.n) // m, (np.array(perm.image) - 1) // m), 1)
     return deg
 
 
@@ -74,19 +70,24 @@ def _perfect_matching(adj: list[list[tuple[int, int]]], r: int) -> dict[int, tup
     A perfect matching always exists here: the uncolored edges stay regular
     after each extracted color."""
     match: dict[int, tuple[int, int]] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v, eid in adj[u]:
-            if v in seen:
+    for root in range(r):
+        # depth-first search on an explicit stack, so that Python's recursion limit does not bound
+        # the path's length; a frame is [block_row, its untried edges, the edge (v, eid) taken]
+        seen: set[int] = set()
+        stack = [[root, iter(adj[root]), None]]
+        while stack:
+            frame = stack[-1]
+            frame[2] = next(((v, eid) for v, eid in frame[1] if v not in seen), None)
+            if frame[2] is None:
+                stack.pop()
                 continue
+            v = frame[2][0]
             seen.add(v)
-            if v not in match or augment(match[v][0], seen):
-                match[v] = (u, eid)
-                return True
-        return False
-
-    for u in range(r):
-        if not augment(u, set()):
+            if v not in match:
+                match.update((v, (u, eid)) for u, _, (v, eid) in stack)
+                break
+            stack.append([match[v][0], iter(adj[match[v][0]]), None])
+        else:
             raise RuntimeError("no perfect matching in a regular bipartite multigraph")
     return match
 
@@ -112,10 +113,7 @@ def edge_color(perm: Permutation, m: int) -> dict[int, int]:
     # block column 1 holds each color once and each intra index once, so the
     # color -> intra-index map there is a permutation; applying it makes the
     # Z factor's leading block the identity
-    relabel = {}
-    for j, k in enumerate(perm.image):
-        if (k - 1) // m == 0:
-            relabel[color[j]] = (k - 1) % m
+    relabel = {color[j]: k - 1 for j, k in enumerate(perm.image) if k <= m}
     return {j + 1: relabel[color[j]] for j in range(perm.n)}
 
 
@@ -124,17 +122,18 @@ def perm_dxz(perm: Permutation, m: int) -> DxzDecomposition:
     intra position (i, i), Z block-diagonal with leading block I."""
     p = BlockPartition(perm.n, m)
     coloring = edge_color(perm, m)
+    cols = np.array(perm.image) - 1
+    color = np.array([coloring[j + 1] for j in range(p.n)])
+    mid = np.arange(p.n) // m * m + color
+    out = cols // m * m + color
+    # row j goes to mid[j] in D, to out[j] in X and to cols[j] in Z: D X Z = P iff both maps are bijections
+    assert (np.bincount(mid, minlength=p.n) == 1).all() and (np.bincount(out, minlength=p.n) == 1).all()
     d = np.zeros((p.n, p.n), dtype=complex)
     x = np.zeros((p.n, p.n), dtype=complex)
     z = np.zeros((p.n, p.n), dtype=complex)
-    for j, k in enumerate(perm.image):
-        c = coloring[j + 1]
-        brow, irow = j // m, j % m
-        bcol, icol = (k - 1) // m, (k - 1) % m
-        d[brow * m + irow, brow * m + c] = 1.0
-        x[brow * m + c, bcol * m + c] = 1.0
-        z[bcol * m + c, bcol * m + icol] = 1.0
-    assert np.array_equal(d @ x @ z, perm.to_matrix())
+    d[np.arange(p.n), mid] = 1.0
+    x[mid, out] = 1.0
+    z[out, cols] = 1.0
     return DxzDecomposition(d, x, z, p, [(0, psi(x, p))], True, 0)
 
 

@@ -6,9 +6,10 @@ Newton averaging Y_{k+1} = (Y_k + (Y_k^H)^{-1}) / 2 converges (Higham 1986,
 "Computing the polar decomposition - with applications"), reached without
 iterating and batched over a stack of blocks, and the singular values of the
 same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
-its factor is its phase z/|z| and its singular value its modulus |z|, so a
-stack of them costs a few elementwise operations.  An eigendecomposition
-route is kept as an independent cross-check for tests.
+its factor is its phase z/|z| (exp(i arg z) where |z| is zero, subnormal or
+overflows) and its singular value its modulus |z|, so a stack of them costs a
+few elementwise operations.  An eigendecomposition route is kept as an
+independent cross-check for tests.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
     boolean vector.  A slice whose smallest singular value falls below
     cfg.sing_tol has no well-defined factor and gets the identity.  For
     1 x 1 slices z the factor is the phase z/|z| and the singular value is
-    |z|, computed without an SVD; an exact zero gets factor 1 even under
-    sing_tol = 0, as the SVD gives.  A non-finite entry raises ValueError;
-    the check runs only on the branches such a stack leads to (a zero,
-    subnormal or overflowing |z|, a failed SVD, or a singular value below
-    sing_tol or NaN), so a well-conditioned finite stack pays no scan.
+    |z|, computed without an SVD, or as exp(i arg z) for a whole stack in
+    which some |z| is zero, subnormal or overflows; an exact zero gets factor
+    1 even under sing_tol = 0, as the SVD gives.  A non-finite entry raises
+    ValueError; the check runs only on the branches such a stack leads to (a
+    zero, subnormal or overflowing |z|, a failed SVD, or a singular value
+    below sing_tol or NaN), so a well-conditioned finite stack pays no scan.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
@@ -75,7 +77,7 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
             factors = z / mod
         else:
             _reject_non_finite(z)
-            factors = _scaled_phases(z)
+            factors = np.where(z == 0, 1, np.exp(1j * np.angle(z)))
         singular = mod < cfg.sing_tol
         if lowest < cfg.sing_tol:
             factors[singular] = 1.0
@@ -97,17 +99,6 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
 def _reject_non_finite(mats: np.ndarray) -> None:
     if not np.isfinite(mats).all():
         raise ValueError("matrix entries must be finite")
-
-
-def _scaled_phases(z: np.ndarray) -> np.ndarray:
-    """z/|z| where |z| is zero, subnormal or overflows: each entry is first
-    scaled exactly by a power of two, and an exact zero gets phase 1."""
-    exponent = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
-    scaled = np.ldexp(z.real, -exponent) + 1j * np.ldexp(z.imag, -exponent)
-    with np.errstate(invalid="ignore"):
-        phases = scaled / np.abs(scaled)
-    phases[z == 0] = 1.0
-    return phases
 
 
 def polar_unitary(mat, cfg: PolarConfig = PolarConfig()) -> PolarResult:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, psi
 from .matcore import (
-    BlockPartition, as_matrix, as_partitioned, block_diag, block_grid, diag_blocks, dft_matrix,
-    line_sum_residual, off_block_norm, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_grid, diag_blocks,
+    dft_matrix, line_sum_residual, off_block_norm, unitarity_residual,
 )
 
 __all__ = [
@@ -227,7 +227,7 @@ def biunitary_from_dxz(dec: DxzDecomposition) -> tuple[BiunitaryVector, Biunitar
     """Extract V_j = (Z_jj)^{-1} and W_j = D_jj, so that U V = W with
     V_1 = I up to the residuals of the decomposition."""
     p = dec.partition
-    v_blocks = diag_blocks(as_partitioned(dec.Z, p), p).conj().transpose(0, 2, 1)
+    v_blocks = _adjoints(diag_blocks(as_partitioned(dec.Z, p), p))
     return BiunitaryVector(v_blocks), BiunitaryVector(diag_blocks(as_partitioned(dec.D, p), p))
 
 
@@ -262,7 +262,7 @@ def xu_from_biunitary(u, v: BiunitaryVector, w: BiunitaryVector, tol: float) -> 
 
     right = v.blocks.copy()
     right[0] = np.eye(p.m)
-    a = block_diag(np.linalg.inv(w.blocks)) @ u @ block_diag(right)
+    a = _apply_right(_apply_left(np.linalg.inv(w.blocks), u, p), right, p)
 
     derived = 20.0 * tol + 1e-10
     if not membership(a, p, "XU", derived):

@@ -63,6 +63,17 @@ def test_step_reproduces_first_table_entry(u6):
     assert abs(psi(x1, p) - PSI_TABLE[1][1]) < 0.05
 
 
+def test_step_singular_column_sum_gets_identity():
+    # row sums 2, 1, 1 leave L = I; column sums i, 0, 4 - i.  The zero sum
+    # would give R_22 = Upsilon_1 = i through the gauge factor
+    p = BlockPartition(3, 1)
+    x = np.array([[1j, 1, 1 - 1j], [-1j, -1, 2 + 1j], [1j, 0, 1 - 1j]])
+    left, right, x_next = sinkhorn_step(x, p)
+    assert np.array_equal(left, np.eye(3))
+    assert right[0, 0] == 1 and right[1, 1] == 1
+    assert np.abs(x_next - left @ x @ right).max() <= 1e-15
+
+
 def untwisted_column_sweep(y, p):
     """Right normalization without the shared gauge factor that pins
     (R_t)_11 = I; this is the version whose block-trace gain is provable."""
@@ -195,7 +206,7 @@ def test_scalar_decompose_matches_dense_reference(n):
 
 @pytest.mark.parametrize("n", [1, 5, 64])
 def test_scalar_applies_match_block_diagonal_products(n):
-    from blockdxz.blocksinkhorn import _apply_left, _apply_right
+    from blockdxz.matcore import _apply_left, _apply_right
 
     rng = np.random.default_rng(n)
     p = BlockPartition(n, 1)

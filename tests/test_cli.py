@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blockdxz
-from blockdxz import Permutation, load_matrix, save_matrix
+from blockdxz import Permutation, RandomSpec, haar_random_unitary, load_matrix, save_matrix
 from blockdxz.cli import EXIT_DATA, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from refdata import SIGMA_FACTORS_M2, SIGMA_IMAGE, U6
 
@@ -33,6 +33,12 @@ def test_random_command(tmp_path, capsys):
     assert abs(abs(load_matrix(single)[0, 0]) - 1.0) < 1e-12
     assert main(["random", "--n", "6", "--seed", "-1", "-o", str(tmp_path / "d.json")]) == EXIT_USAGE
     assert not (tmp_path / "d.json").exists()
+
+
+def test_random_rejects_empty_size(tmp_path, capsys):
+    assert main(["random", "--n", "0", "-o", str(tmp_path / "u.json")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "u.json").exists()
 
 
 def test_decompose_command(tmp_path, u6_file, capsys):
@@ -77,6 +83,21 @@ def test_decompose_round_trips_through_verify(tmp_path, u6_file, capsys):
     assert report["residuals"]["passed"] is True
 
 
+def test_verify_json_output(tmp_path, u6_file, capsys):
+    outdir = tmp_path / "out"
+    main(["decompose", u6_file, "--m", "3", "-o", str(outdir)])
+    capsys.readouterr()
+    factors = [str(outdir / f"{name}.json") for name in "DXZ"]
+    assert main(["verify", u6_file, *factors, "--m", "3", "--tol", "1e-3", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == [
+        "reconstruction", "d_unitarity", "x_unitarity", "z_unitarity", "d_off_diagonal", "z_off_diagonal",
+        "z_leading_block", "max_line_sum", "psi_x", "tol", "passed",
+    ]
+    assert report["tol"] == 1e-3 and report["passed"] is True
+    assert all(type(value) is float for value in list(report.values())[:9])
+
+
 def test_usage_and_data_errors(tmp_path, u6_file):
     assert main(["decompose", u6_file, "--m", "5", "-o", str(tmp_path)]) == EXIT_USAGE
     bad = tmp_path / "bad.json"
@@ -105,6 +126,16 @@ def test_usage_and_data_errors(tmp_path, u6_file):
 def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_matrix(path)
+    assert main(["trace", str(path), "--m", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deeply_nested_cmat_is_a_data_error(tmp_path, capsys):
+    # json.dumps cannot write this nesting depth, so the file is raw text
+    path = tmp_path / "deep.json"
+    path.write_text('{"rows":1,"cols":1,"data":' + "[" * 100000 + "]" * 100000 + "}")
     with pytest.raises(ValueError):
         load_matrix(path)
     assert main(["trace", str(path), "--m", "1"]) == EXIT_DATA
@@ -235,6 +266,17 @@ def test_conjugate_identity(tmp_path, capsys):
     assert np.linalg.norm(load_matrix(outdir / "C.json") - np.eye(6)) < 1e-12
     assert np.linalg.norm(load_matrix(outdir / "A.json") - np.eye(4)) < 1e-12
     assert np.linalg.norm(load_matrix(outdir / "Y.json") - np.eye(6)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_conjugate_rejects_single_block(tmp_path, capsys, n):
+    # at m = n the core A is 0 x 0, which CMAT-JSON cannot hold
+    path = tmp_path / "u.json"
+    save_matrix(path, haar_random_unitary(RandomSpec(n, 1)))
+    outdir = tmp_path / "out"
+    assert main(["conjugate", str(path), "--m", str(n), "-o", str(outdir)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])

@@ -260,6 +260,16 @@ def test_cmat_roundtrip(tmp_path):
     assert np.array_equal(load_matrix(path), mat)
 
 
+def test_cmat_writer_text(tmp_path):
+    # signed zeros, subnormals and extremes keep their shortest round-trip text
+    mat = np.array([[complex(-0.0, 5e-324), complex(0.1, -1e308)], [complex(1e308, -0.0), complex(-5e-324, 0.1)]])
+    path = tmp_path / "m.json"
+    save_matrix(path, mat)
+    assert path.read_text() == (
+        '{"rows": 2, "cols": 2, "data": [[[-0.0, 5e-324], [0.1, -1e+308]], [[1e+308, -0.0], [-5e-324, 0.1]]]}'
+    )
+
+
 def test_cmat_reader_rejections(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json")

@@ -93,6 +93,14 @@ def test_edge_color_proper_on_random_permutations():
             assert proper_coloring(perm, m, edge_color(perm, m))
 
 
+def test_edge_color_long_augmenting_paths():
+    # at r = 2048 blocks an augmenting path runs deeper than Python's
+    # recursion limit; the factors of perm_dxz would be three dense 4096^2
+    # complex matrices, so only the coloring is checked
+    perm = Permutation(tuple(int(v) for v in 1 + np.random.default_rng(2).permutation(4096)))
+    assert proper_coloring(perm, 2, edge_color(perm, 2))
+
+
 def test_perm_dxz_identity():
     dec = perm_dxz(Permutation((1, 2, 3, 4, 5, 6)), 2)
     for factor in (dec.D, dec.X, dec.Z):
