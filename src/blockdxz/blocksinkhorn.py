@@ -8,12 +8,14 @@ psi(M) = n^2 - |Btr(M)|^2, which is zero exactly on the unit-line-sum group.
 
 The sweep keeps L_t, R_t and the accumulated D and Z as (r, m, m) stacks of
 their diagonal blocks and applies them as batched matmuls on the (r, m, n)
-and (r, n, m) views of X; for m = 1 (the scalar-block case, where a sweep
-only rescales rows and columns by phases) the applies are elementwise row
-and column scalings.  n x n block-diagonal matrices are built only for the
-returned D and Z and for sinkhorn_step's dense factors.  The verifier
-applies the diagonal blocks of D and Z the same way, so X's unitarity is its
-only dense n x n product.
+and (r, n, m) views of X.  For m = 1 (the scalar-block case, where a sweep
+only rescales rows and columns by phases) the sweep never forms X: with
+X_t = diag(l) U diag(v), its line sums are two matrix-vector products on the
+untouched U, and X is formed once, on return.  n x n block-diagonal
+matrices are built only for the returned D and Z and for sinkhorn_step's
+dense factors.  The verifier reads its inputs in place and applies the
+diagonal blocks of D and Z the same way, so X's unitarity is its only dense
+n x n product.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (
-    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, block_grid,
-    col_sums, diag_blocks, line_sum_residual, off_block_norm, row_sums, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, col_sums,
+    line_sum_residual, row_sums, split_block_diagonal, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch
 
@@ -81,7 +83,10 @@ def block_trace(mat, p: BlockPartition) -> complex:
 
 
 def _block_trace(x: np.ndarray, p: BlockPartition) -> complex:
-    return complex(np.einsum("jkaa->", block_grid(x, p)))
+    # [j, k, a] = x[jm + a, km + a]; numpy's pairwise sum keeps psi's
+    # cancellation within 2 eps n^2 of its exact value at n = 256, which the
+    # running sum of an einsum over the (r, r, m, m) grid misses
+    return complex(np.diagonal(x.reshape(p.r, p.m, p.r, p.m), axis1=1, axis2=3).sum())
 
 
 def psi(mat, p: BlockPartition) -> float:
@@ -127,9 +132,10 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
     Z = (R_1 ... R_t)^H block by block.
 
     Non-convergence is reported, not raised: the decomposition is returned
-    with converged=False and still reconstructs U exactly.
+    with converged=False and still reconstructs U exactly.  U is only read;
+    where a factor would be U itself it is a copy.
     """
-    u = as_matrix(u)
+    u = as_matrix(u, copy=False)
     if u.shape[0] != u.shape[1]:
         raise ValueError("decompose needs a square matrix")
     n = u.shape[0]
@@ -140,13 +146,27 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
     if m == n:
         # single-block case: D = U does everything
         eye = np.eye(n, dtype=complex)
-        return DxzDecomposition(u, eye, eye.copy(), p, [(0, psi(eye, p))], True, 0)
+        return DxzDecomposition(u.copy(), eye, eye.copy(), p, [(0, psi(eye, p))], True, 0)
+    lacc, x, racc, trace = (_scalar_run if m == 1 else _block_run)(u, p, cfg)
+    return DxzDecomposition(
+        D=block_diag(_adjoints(lacc)),
+        X=x,
+        Z=block_diag(_adjoints(racc)),
+        partition=p,
+        psi_trace=trace,
+        converged=trace[-1][1] <= cfg.psi_tol,
+        iterations_used=trace[-1][0],
+    )
 
-    x = u  # as_matrix returned a fresh array, and the sweeps never write to x
-    lacc = np.tile(np.eye(m, dtype=complex), (p.r, 1, 1))
+
+def _block_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):
+    """The sweeps on block stacks; returns the (r, m, m) stacks of
+    L_t ... L_1 and R_1 ... R_t, X_t and the psi trace."""
+    x = u  # the sweeps never write to x
+    lacc = np.tile(np.eye(p.m, dtype=complex), (p.r, 1, 1))
     racc = lacc.copy()
-    # u is validated above and every later x is the sweep's own output, so
-    # the loop skips psi()'s copy and finiteness check
+    # u is validated and every later x is the sweep's own output, so the loop
+    # skips psi()'s copy and finiteness check
     trace = [(0, _psi(x, p))]
     t = 0
     while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
@@ -155,16 +175,37 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
         lacc = lt @ lacc
         racc = racc @ rt
         trace.append((t, _psi(x, p)))
+    return lacc, (u.copy() if t == 0 else x), racc, trace
 
-    return DxzDecomposition(
-        D=block_diag(_adjoints(lacc)),
-        X=x,
-        Z=block_diag(_adjoints(racc)),
-        partition=p,
-        psi_trace=trace,
-        converged=trace[-1][1] <= cfg.psi_tol,
-        iterations_used=t,
-    )
+
+def _scalar_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):
+    """The sweeps for m = 1 against the untouched U.
+
+    Here X_t = diag(l) U diag(v) with l and v the accumulated row and column
+    phases, so its row sums are l * (U v) and the column sums after the row
+    step l' are (l'^T U) * v: two matrix-vector products per sweep, and X is
+    formed once, on return.  Btr is the sum of all entries, so psi comes from
+    the row sums that the next sweep starts from.  Returns what _block_run
+    does.
+    """
+    n = p.n
+    lacc = racc = np.ones(n, dtype=complex)
+    rows = u @ racc
+    trace = [(0, float(n * n - abs(rows.sum()) ** 2))]
+    t = 0
+    while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
+        t += 1
+        phis, _ = polar_unitary_batch(rows.reshape(n, 1, 1), cfg.polar)
+        lacc = lacc * phis.ravel().conj()
+        upsilons, singular = polar_unitary_batch(((lacc @ u) * racc).reshape(n, 1, 1), cfg.polar)
+        rt = upsilons.ravel().conj() * upsilons[0, 0, 0]
+        rt[singular] = 1.0
+        racc = racc * rt
+        rows = lacc * (u @ racc)
+        trace.append((t, float(n * n - abs(rows.sum()) ** 2)))
+    x = lacc[:, None] * u
+    x *= racc
+    return lacc.reshape(n, 1, 1), x, racc.reshape(n, 1, 1), trace
 
 
 @dataclass
@@ -190,28 +231,28 @@ class VerificationReport:
 def verify_decomposition(u, dec: DxzDecomposition, tol: float) -> VerificationReport:
     """Check every structural claim of a decomposition against U.
 
-    When D and Z have no mass off their diagonal blocks (every decomposition
-    this package produces), the reconstruction and their unitarity are
-    computed on the (r, m, m) stacks of those blocks, so X's unitarity is the
-    only dense n x n product.  Otherwise the dense formulas run, and the
-    off-block mass counts in every residual.
+    U, D, X and Z are read in place, not copied.  When D and Z have no mass
+    off their diagonal blocks (every decomposition this package produces),
+    the reconstruction and their unitarity are computed on the (r, m, m)
+    stacks of those blocks, so X's unitarity is the only dense n x n product.
+    Otherwise the dense formulas run, and the off-block mass counts in every
+    residual.
     """
-    u = as_matrix(u)
     p = dec.partition
-    d, x, z = as_matrix(dec.D), as_matrix(dec.X), as_matrix(dec.Z)
+    u, d, x, z = (as_matrix(a, copy=False) for a in (u, dec.D, dec.X, dec.Z))
     for name, a in (("U", u), ("D", d), ("X", x), ("Z", z)):
         if a.shape != (p.n, p.n):
             raise ValueError(f"{name} has shape {a.shape}, expected ({p.n}, {p.n})")
 
-    d_off, z_off = off_block_norm(d, p), off_block_norm(z, p)
+    (d_part, d_off), (z_part, z_off) = split_block_diagonal(d, p), split_block_diagonal(z, p)
     if d_off == 0.0 and z_off == 0.0:
-        d_part, z_part = diag_blocks(d, p), diag_blocks(z, p)
         dxz = _apply_right(_apply_left(d_part, x, p), z_part, p)
     else:
         d_part, z_part = d, z
         dxz = d @ x @ z
+    dxz -= u
     residuals = {
-        "reconstruction": float(np.linalg.norm(dxz - u)),
+        "reconstruction": float(np.linalg.norm(dxz)),
         "d_unitarity": unitarity_residual(d_part),
         "x_unitarity": unitarity_residual(x),
         "z_unitarity": unitarity_residual(z_part),

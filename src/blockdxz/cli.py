@@ -185,11 +185,11 @@ def cmd_perm(args) -> int:
         print(f"{label} =")
         for row in mat.real.astype(int):
             print("  " + " ".join(str(v) for v in row))
-    exact = bool(np.array_equal(dec.D @ dec.X @ dec.Z, perm.to_matrix()))
-    print(f"product check D X Z = P: {'exact' if exact else 'FAILED'}")
+    # perm_dxz raises unless the factors multiply to P exactly
+    print("product check D X Z = P: exact")
     if args.output:
         _save_factors(args.output, D=dec.D, X=dec.X, Z=dec.Z)
-    return EXIT_OK if exact else EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def cmd_random(args) -> int:

@@ -127,7 +127,8 @@ def perm_dxz(perm: Permutation, m: int) -> DxzDecomposition:
     mid = np.arange(p.n) // m * m + color
     out = cols // m * m + color
     # row j goes to mid[j] in D, to out[j] in X and to cols[j] in Z: D X Z = P iff both maps are bijections
-    assert (np.bincount(mid, minlength=p.n) == 1).all() and (np.bincount(out, minlength=p.n) == 1).all()
+    if not ((np.bincount(mid, minlength=p.n) == 1).all() and (np.bincount(out, minlength=p.n) == 1).all()):
+        raise RuntimeError("edge coloring does not give D X Z = P")
     d = np.zeros((p.n, p.n), dtype=complex)
     x = np.zeros((p.n, p.n), dtype=complex)
     z = np.zeros((p.n, p.n), dtype=complex)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,8 +386,8 @@ def test_verify_matches_dense_formulas():
 
     # at n = 256 the unitarity residuals of X, and of D and Z at m = 128,
     # take the real-product route.  psi_x = n^2 - |Btr|^2 cancels down to
-    # ~eps n^2 even from an exact Btr: the program's einsum is 2e-11 and 4e-11
-    # off the exact value at 256/1 and 256/128, above 1e-13 n
+    # ~eps n^2 even from an exact Btr: the program's pairwise sum is 6e-13
+    # and 9e-12 off the exact value at 256/1 and 256/128
     for seed, (n, m) in enumerate([(256, 1), (256, 128)]):
         u = haar_random_unitary(RandomSpec(n, 75 + seed))
         dec = decompose(u, m, IterationConfig(max_iter=20))
@@ -436,3 +437,76 @@ def test_trivial_and_scalar_footnotes():
     assert np.array_equal(dec.D, mat)
     assert np.array_equal(dec.X, np.eye(6))
     assert np.array_equal(dec.Z, np.eye(6))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_decompose_returns_python_types(u6, m):
+    # report.json is written with the json module, which takes no numpy scalars
+    for u in (u6, np.eye(6)):
+        dec = decompose(u, m, IterationConfig(max_iter=5))
+        assert type(dec.converged) is bool
+        assert type(dec.iterations_used) is int
+        assert all(type(t) is int and type(v) is float for t, v in dec.psi_trace)
+
+
+def test_factors_do_not_alias_the_input(u6):
+    cases = [(u6, 6), (np.eye(6, dtype=complex), 1), (np.eye(6, dtype=complex), 2)]
+    cases += [(haar_random_unitary(RandomSpec(8, 5)), m) for m in (1, 2)]
+    for u, m in cases:
+        dec = decompose(u, m, IterationConfig(max_iter=5))
+        kept = [dec.D.copy(), dec.X.copy(), dec.Z.copy()]
+        u[...] = 7.0
+        for factor, before in zip((dec.D, dec.X, dec.Z), kept):
+            assert np.array_equal(factor, before)
+
+
+def test_verify_reads_read_only_inputs():
+    u = haar_random_unitary(RandomSpec(12, 3))
+    for m in (1, 4):
+        dec = decompose(u, m, IterationConfig(max_iter=10))
+        frozen = [a.copy() for a in (u, dec.D, dec.X, dec.Z)]
+        for a in frozen:
+            a.flags.writeable = False
+        report = verify_decomposition(frozen[0], DxzDecomposition(*frozen[1:], dec.partition), 1e-3)
+        assert report == verify_decomposition(u, dec, 1e-3)
+
+
+def exact_psi(x, m):
+    """n^2 - |Btr|^2 in exact rational arithmetic over x's float entries."""
+    n = x.shape[0]
+    entries = [x[j * m + i, k * m + i] for j in range(n // m) for k in range(n // m) for i in range(m)]
+    re = sum(map(Fraction, (float(v.real) for v in entries)), Fraction(0))
+    im = sum(map(Fraction, (float(v.imag) for v in entries)), Fraction(0))
+    return n * n - (re * re + im * im)
+
+
+@pytest.mark.parametrize("seed, m", [(75, 1), (76, 128)])
+def test_psi_within_rounding_of_exact_value(seed, m):
+    # psi cancels n^2 against |Btr|^2, so ~eps n^2 is the floor of any
+    # summation order; a single running sum over the block traces lands
+    # 3.8e-11 off at 256/128, above 2 eps n^2 = 2.9e-11
+    n = 256
+    u = haar_random_unitary(RandomSpec(n, seed))
+    dec = decompose(u, m, IterationConfig(max_iter=20))
+    exact = exact_psi(dec.X, m)
+    bound = 2 * np.finfo(float).eps * n**2
+    assert abs(Fraction(psi(dec.X, dec.partition)) - exact) <= bound
+    assert abs(Fraction(verify_decomposition(u, dec, 1e-3).psi_x) - exact) <= bound
+
+
+@pytest.mark.parametrize("n, m", [(6, 1), (8, 2)])
+def test_verify_off_block_entry_takes_dense_route(n, m):
+    u = haar_random_unitary(RandomSpec(n, 40 + m))
+    dec = decompose(u, m, IterationConfig(max_iter=10))
+    report = verify_decomposition(u, dec, 1e-3)
+    assert report.d_off_diagonal == 0.0 and report.z_off_diagonal == 0.0
+    for name, (j, k) in (("D", (n - 1, 0)), ("Z", (0, m))):
+        factors = {"D": dec.D.copy(), "Z": dec.Z.copy()}
+        factors[name][j, k] = 1e-20j
+        d, x, z = factors["D"], dec.X, factors["Z"]
+        report = verify_decomposition(u, DxzDecomposition(d, x, z, dec.partition), 1e-3)
+        offs = {"D": report.d_off_diagonal, "Z": report.z_off_diagonal}
+        assert offs.pop(name) == 1e-20
+        assert offs.popitem()[1] == 0.0
+        assert report.reconstruction == float(np.linalg.norm(d @ x @ z - u))
+        assert report.d_unitarity == float(np.linalg.norm(d.conj().T @ d - np.eye(n)))

@@ -318,3 +318,15 @@ def test_console_entry_point_exit_status(tmp_path, entry):
     assert status("random", "--n", "4", "-o", str(tmp_path / "u.json")) == EXIT_OK
     assert status("decompose", str(tmp_path / "u.json"), "--m", "3", "-o", str(tmp_path)) == EXIT_USAGE
     assert status("trace", str(tmp_path / "missing.json"), "--m", "1") == EXIT_DATA
+
+
+@pytest.mark.parametrize("m", [1, 2, 12])
+def test_decompose_report_is_json(tmp_path, m, capsys):
+    # numpy scalars in the result would make json.dumps raise before report.json is written
+    u_path = tmp_path / "u.json"
+    save_matrix(u_path, haar_random_unitary(RandomSpec(12, 4)))
+    code = main(["decompose", str(u_path), "--m", str(m), "--max-iter", "3", "-o", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["converged"] is (code == EXIT_OK)
+    assert all(type(v) is float for _, v in report["psi_trace"])

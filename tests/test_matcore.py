@@ -63,6 +63,20 @@ def test_constructors_reject_nonfinite():
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf]]))
+    with pytest.raises(ValueError):
+        as_matrix(np.array([[1, np.nan]], dtype=complex), copy=False)
+
+
+def test_as_matrix_without_copy():
+    a = np.eye(3, dtype=complex)
+    assert as_matrix(a, copy=False) is a
+    assert as_matrix(a) is not a
+    # every other input is converted to a C-contiguous complex128 array
+    for values in (np.asfortranarray(a + 1j * np.tri(3)), np.eye(3), [[1, 2], [3, 4]]):
+        for copy in (True, False):
+            b = as_matrix(values, copy=copy)
+            assert b.dtype == complex and b.flags.c_contiguous
+            assert np.array_equal(b, np.asarray(values))
 
 
 def test_block_identity():

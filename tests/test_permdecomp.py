@@ -180,3 +180,13 @@ def test_complex_perm_rejects_bad_input():
         complex_perm_dxz(haar_random_unitary(RandomSpec(6, 1)), 2)
     with pytest.raises(ValueError):
         complex_perm_dxz(0.5 * Permutation(SIGMA_IMAGE).to_matrix(), 2)
+
+
+def test_perm_dxz_rejects_a_bad_coloring(monkeypatch):
+    # a coloring that sends two ones of a block row to one intra position
+    # breaks D X Z = P; the check is an explicit raise, kept under python -O
+    import blockdxz.permdecomp as permdecomp
+
+    monkeypatch.setattr(permdecomp, "edge_color", lambda perm, m: {j: 0 for j in range(1, perm.n + 1)})
+    with pytest.raises(RuntimeError):
+        perm_dxz(Permutation(SIGMA_IMAGE), 2)
