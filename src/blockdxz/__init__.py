@@ -16,11 +16,10 @@ from .matcore import (
     block_row_sum,
     dft_matrix,
     haar_random_unitary,
-    is_unitary,
     load_matrix,
     save_matrix,
 )
-from .polar import PolarConfig, PolarResult, polar_oracle, polar_unitary
+from .polar import PolarConfig
 from .blocksinkhorn import (
     DxzDecomposition,
     IterationConfig,
@@ -28,7 +27,6 @@ from .blocksinkhorn import (
     block_trace,
     decompose,
     psi,
-    sinkhorn_step,
     verify_decomposition,
 )
 from .structure import (

@@ -12,10 +12,9 @@ and (r, n, m) views of X.  For m = 1 (the scalar-block case, where a sweep
 only rescales rows and columns by phases) the sweep never forms X: with
 X_t = diag(l) U diag(v), its line sums are two matrix-vector products on the
 untouched U, and X is formed once, on return.  n x n block-diagonal
-matrices are built only for the returned D and Z and for sinkhorn_step's
-dense factors.  The verifier reads its inputs in place and applies the
-diagonal blocks of D and Z the same way, so X's unitarity is its only dense
-n x n product.
+matrices are built only for the returned D and Z.  The verifier reads its
+inputs in place and applies the diagonal blocks of D and Z the same way, so
+X's unitarity is its only dense n x n product.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "VerificationReport",
     "block_trace",
     "psi",
-    "sinkhorn_step",
     "decompose",
     "verify_decomposition",
 ]
@@ -101,7 +99,10 @@ def _psi(x: np.ndarray, p: BlockPartition) -> float:
 
 def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):
     """One bilateral sweep on block stacks; returns the diagonal blocks of L_t
-    and R_t as (r, m, m) stacks and X_t = L_t x R_t."""
+    and R_t as (r, m, m) stacks and X_t = L_t x R_t.  (L_t)_jj inverts the
+    polar factor of block row sum j of x; (R_t)_kk is Upsilon_k^{-1} Upsilon_1
+    from the block column sums of L_t x, so (R_t)_11 = I.  A singular line sum
+    contributes the identity."""
     phis, _ = polar_unitary_batch(row_sums(x, p), cfg)
     lt = _adjoints(phis)
     y = _apply_left(lt, x, p)
@@ -113,21 +114,8 @@ def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):
     return lt, rt, _apply_right(y, rt, p)
 
 
-def sinkhorn_step(x_prev, p: BlockPartition, cfg: PolarConfig = PolarConfig()):
-    """One bilateral normalization sweep; returns (L_t, R_t, X_t) with
-    X_t = L_t @ x_prev @ R_t, the factors as dense n x n matrices.
-
-    (L_t)_jj is the inverse unitary polar factor of block row sum j of x_prev;
-    (R_t)_kk is Upsilon_k^{-1} Upsilon_1 from the block column sums of
-    L_t x_prev, the Upsilon_1 factor pinning (R_t)_11 = I.  A singular line
-    sum contributes the identity instead.
-    """
-    lt, rt, x = _sweep(as_partitioned(x_prev, p), p, cfg)
-    return block_diag(lt), block_diag(rt), x
-
-
 def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecomposition:
-    """Iterate the sweep of sinkhorn_step from X_0 = U until psi <= cfg.psi_tol
+    """Iterate the bilateral sweep from X_0 = U until psi <= cfg.psi_tol
     or cfg.max_iter sweeps, accumulating D = (L_t ... L_1)^H and
     Z = (R_1 ... R_t)^H block by block.
 

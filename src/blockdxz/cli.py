@@ -23,7 +23,7 @@ from .blocksinkhorn import (
     decompose,
     verify_decomposition,
 )
-from .matcore import BlockPartition, haar_random_unitary, load_matrix, save_matrix, unitarity_residual, RandomSpec
+from .matcore import BlockPartition, haar_random_unitary, load_matrix, save_matrix, RandomSpec
 from .permdecomp import Permutation, perm_dxz
 from .polar import PolarConfig
 from .structure import (
@@ -44,13 +44,19 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _load_unitary(path) -> np.ndarray:
+def _load_square(path) -> np.ndarray:
     mat = load_matrix(path)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: matrix is not square")
-    if unitarity_residual(mat) > 1e-8:
-        raise ValueError(f"{path}: matrix is not unitary within 1e-8")
     return mat
+
+
+def _run_on(path, run, *args):
+    """run(*args), naming the file in a ValueError: unitarity is checked by decompose."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _partition(n: int, m: int) -> BlockPartition:
@@ -72,9 +78,9 @@ def _iteration_config(args) -> IterationConfig:
 
 
 def _load_and_decompose(args) -> tuple[np.ndarray, DxzDecomposition]:
-    u = _load_unitary(args.input)
+    u = _load_square(args.input)
     _partition(u.shape[0], args.m)
-    return u, decompose(u, args.m, _iteration_config(args))
+    return u, _run_on(args.input, decompose, u, args.m, _iteration_config(args))
 
 
 def _save_factors(outdir, **factors) -> Path:
@@ -84,14 +90,6 @@ def _save_factors(outdir, **factors) -> Path:
     for name, mat in factors.items():
         save_matrix(outdir / f"{name}.json", mat)
     return outdir
-
-
-def _config_dict(cfg: IterationConfig) -> dict:
-    return {
-        "max_iter": cfg.max_iter,
-        "psi_tol": cfg.psi_tol,
-        "polar_iters": cfg.polar.newton_iters,
-    }
 
 
 def _format_part(x: float) -> str:
@@ -120,11 +118,12 @@ def _verify_tolerance(dec: DxzDecomposition) -> float:
 def _write_report(args, outdir: Path, p: BlockPartition, residuals: dict, converged: bool, started: float,
                   psi_trace=()) -> None:
     """Write <outdir>/report.json, and print it under --json."""
+    cfg = _iteration_config(args)
     text = json.dumps({
         "command": " ".join(args.argv),
         "input_digest": _digest(args.input),
         "partition": {"n": p.n, "m": p.m, "r": p.r, "q": p.q},
-        "config": _config_dict(_iteration_config(args)),
+        "config": {"max_iter": cfg.max_iter, "psi_tol": cfg.psi_tol, "polar_iters": cfg.polar.newton_iters},
         "psi_trace": [[t, value] for t, value in psi_trace],
         "residuals": residuals,
         "converged": converged,
@@ -161,11 +160,7 @@ def cmd_verify(args) -> int:
         raise _UsageError("tol must be finite and non-negative")
     u, d, x, z = map(load_matrix, (args.u, args.d, args.x, args.z))
     p = _partition(u.shape[0], args.m)
-    dec = DxzDecomposition(D=d, X=x, Z=z, partition=p)
-    try:
-        report = verify_decomposition(u, dec, args.tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    report = verify_decomposition(u, DxzDecomposition(D=d, X=x, Z=z, partition=p), args.tol)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -214,11 +209,11 @@ def cmd_biunitary(args) -> int:
 
 def cmd_conjugate(args) -> int:
     started = time.perf_counter()
-    u = _load_unitary(args.input)
+    u = _load_square(args.input)
     p = _partition(u.shape[0], args.m)
     if p.q == 0:
         raise _UsageError(f"conjugate needs m < n (the core A would be 0 x 0), got m = n = {p.n}")
-    conj = conjugate_decompose(u, args.m, _iteration_config(args))
+    conj = _run_on(args.input, conjugate_decompose, u, args.m, _iteration_config(args))
     outdir = _save_factors(args.output, C=conj.C, A=conj.A, Y=conj.Y)
     residuals = {
         "reconstruction": float(np.linalg.norm(conj.C @ identity_plus_core(conj.A, p) @ conj.Y - u)),

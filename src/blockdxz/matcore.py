@@ -21,7 +21,6 @@ __all__ = [
     "RandomSpec",
     "as_matrix",
     "as_partitioned",
-    "is_unitary",
     "block",
     "block_row_sum",
     "block_col_sum",
@@ -114,14 +113,6 @@ def unitarity_residual(a: np.ndarray) -> float:
     re.reshape(-1, n * n)[:, :: n + 1] -= 1.0
     k = s[..., :rows, :].swapaxes(-1, -2) @ s[..., rows:, :]
     return math.hypot(np.linalg.norm(re), np.linalg.norm(k - k.swapaxes(-1, -2)))
-
-
-def is_unitary(a, tol: float) -> bool:
-    """True iff ||a^H a - I||_F <= tol (a must be square)."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("is_unitary needs a square matrix")
-    return unitarity_residual(a) <= tol
 
 
 def block_grid(a: np.ndarray, p: BlockPartition) -> np.ndarray:

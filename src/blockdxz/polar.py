@@ -8,21 +8,17 @@ iterating and batched over a stack of blocks, and the singular values of the
 same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
 its factor is its phase z/|z| (exp(i arg z) where |z| is zero, subnormal or
 overflows) and its singular value its modulus |z|, so a stack of them costs a
-few elementwise operations.  An eigendecomposition route is kept as an
-independent cross-check for tests.
+few elementwise operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import as_matrix
-
-__all__ = ["PolarConfig", "PolarResult", "polar_unitary", "polar_oracle"]
+__all__ = ["PolarConfig"]
 
 _TINY = np.finfo(float).tiny
 
@@ -47,13 +43,9 @@ class PolarConfig:
             raise ValueError("sing_tol must be finite and non-negative")
 
 
-class PolarResult(NamedTuple):
-    unitary_factor: np.ndarray
-    singular: bool
-
-
 def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary polar factors of a stack of square matrices.
+    """Unitary polar factors of a stack of square matrices: Phi of M = Phi P,
+    which is also Upsilon of M = Q Upsilon, so row and column sweeps share it.
 
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
@@ -99,33 +91,3 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
 def _reject_non_finite(mats: np.ndarray) -> None:
     if not np.isfinite(mats).all():
         raise ValueError("matrix entries must be finite")
-
-
-def polar_unitary(mat, cfg: PolarConfig = PolarConfig()) -> PolarResult:
-    """Unitary factor of one square matrix M: Phi of M = Phi P, which is also
-    Upsilon of M = Q Upsilon, so the paper's row and column sweeps share it.
-
-    A singular matrix (see polar_unitary_batch) gives the identity with
-    singular=True, never an error.
-    """
-    mat = as_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("polar_unitary needs a square matrix")
-    factors, singular = polar_unitary_batch(mat[None], cfg)
-    return PolarResult(factors[0], bool(singular[0]))
-
-
-def polar_oracle(mat) -> PolarResult:
-    """Independent route for tests: factor = M (M^H M)^{-1/2} via
-    eigendecomposition of M^H M."""
-    mat = as_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("polar_oracle needs a square matrix")
-    m = mat.shape[0]
-    gram = mat.conj().T @ mat
-    evals, vecs = np.linalg.eigh(gram)
-    evals = np.maximum(evals, 0.0)
-    if np.sqrt(evals[0]) < PolarConfig().sing_tol:
-        return PolarResult(np.eye(m), True)
-    inv_sqrt = vecs @ np.diag(evals**-0.5) @ vecs.conj().T
-    return PolarResult(mat @ inv_sqrt, False)

@@ -4,9 +4,12 @@ U6 is the published 6 x 6 worked example (entries are integers over 12); the
 psi table lists its progress values per iteration for m = 1, 2, 3, and the
 printed biunitary pair is its m = 2 result rounded to two decimals.  SIGMA is
 the worked 6 x 6 permutation with its two printed factorizations.
+polar_oracle is an independent route to the unitary polar factor.
 """
 
 import numpy as np
+
+from blockdxz import PolarConfig
 
 U6 = np.array(
     [
@@ -142,3 +145,15 @@ def sweep_cases(total: int = 200):
             cases.append((n, m, 7919 * seed + 101 * n + m))
         seed += 1
     return cases
+
+
+def polar_oracle(mat):
+    """Unitary polar factor M (M^H M)^{-1/2} of a square matrix by an
+    eigendecomposition of M^H M, independent of the SVD kernel; returns
+    (factor, singular), the identity when M is singular."""
+    mat = np.asarray(mat, dtype=complex)
+    evals, vecs = np.linalg.eigh(mat.conj().T @ mat)
+    evals = np.maximum(evals, 0.0)
+    if np.sqrt(evals[0]) < PolarConfig().sing_tol:
+        return np.eye(mat.shape[0]), True
+    return mat @ (vecs * evals**-0.5) @ vecs.conj().T, False

@@ -19,13 +19,12 @@ from blockdxz import (
     decompose,
     haar_random_unitary,
     perm_dxz,
-    polar_oracle,
     psi,
-    sinkhorn_step,
     verify_decomposition,
 )
-from blockdxz.matcore import block_diag
-from refdata import PSI_TABLE, SIGMA_FACTORS_M2, SIGMA_IMAGE
+from blockdxz.blocksinkhorn import _sweep
+from blockdxz.matcore import block_diag, diag_blocks, unitarity_residual
+from refdata import PSI_TABLE, SIGMA_FACTORS_M2, SIGMA_IMAGE, polar_oracle
 
 
 def test_block_trace_identity():
@@ -52,15 +51,15 @@ def test_psi_values(u6):
 def test_step_fixes_core_members():
     p = BlockPartition(6, 2)
     x = core_to_xu(haar_random_unitary(RandomSpec(4, 17)), p)
-    left, right, x_next = sinkhorn_step(x, p)
-    assert np.linalg.norm(left - np.eye(6)) < 1e-10
-    assert np.linalg.norm(right - np.eye(6)) < 1e-10
+    lt, rt, x_next = _sweep(x, p, PolarConfig())
+    assert np.linalg.norm(block_diag(lt) - np.eye(6)) < 1e-10
+    assert np.linalg.norm(block_diag(rt) - np.eye(6)) < 1e-10
     assert np.linalg.norm(x_next - x) < 1e-10
 
 
 def test_step_reproduces_first_table_entry(u6):
     p = BlockPartition(6, 1)
-    _, _, x1 = sinkhorn_step(u6, p)
+    _, _, x1 = _sweep(u6, p, PolarConfig())
     assert abs(psi(x1, p) - PSI_TABLE[1][1]) < 0.05
 
 
@@ -69,24 +68,50 @@ def test_step_singular_column_sum_gets_identity():
     # would give R_22 = Upsilon_1 = i through the gauge factor
     p = BlockPartition(3, 1)
     x = np.array([[1j, 1, 1 - 1j], [-1j, -1, 2 + 1j], [1j, 0, 1 - 1j]])
-    left, right, x_next = sinkhorn_step(x, p)
+    lt, rt, x_next = _sweep(x, p, PolarConfig())
+    left, right = block_diag(lt), block_diag(rt)
     assert np.array_equal(left, np.eye(3))
     assert right[0, 0] == 1 and right[1, 1] == 1
     assert np.abs(x_next - left @ x @ right).max() <= 1e-15
 
 
+def singular_column_sum_unitary(m):
+    """A phased 8 x 8 Hadamard matrix, tensored with I_m.  After the first
+    row step its block column sums are -sqrt2 i, sqrt2 i, 0, 0 and four
+    sums of modulus 1 (times I_m): two exactly zero sums next to a leading
+    sum of phase -i, all exact in floating point."""
+    h2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    rows = np.array([1, 1j, 1j, 1j, -1, 1j, -1j, 1j])
+    cols = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
+    return np.kron(rows[:, None] * np.kron(np.kron(h2, h2), h2) * cols, np.eye(m))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_decompose_singular_column_sum_gets_identity(m):
+    # m = 1 and m >= 2 run different sweep loops, each with its own fix-up:
+    # without it the gauge factor Upsilon_1 = -i would land on the singular
+    # columns.  One sweep leaves every factor exact; later sweeps round
+    p = BlockPartition(8 * m, m)
+    u = singular_column_sum_unitary(m)
+    dec = decompose(u, m, IterationConfig(max_iter=1))
+    assert not dec.converged
+    assert np.abs(dec.D @ dec.X @ dec.Z - u).max() <= 1e-14
+    assert unitarity_residual(dec.D) <= 1e-14 and unitarity_residual(dec.Z) <= 1e-14
+    z_blocks = diag_blocks(dec.Z, p)
+    assert np.array_equal(z_blocks[0], np.eye(m))
+    assert np.array_equal(z_blocks[2:4], np.tile(np.eye(m), (2, 1, 1)))
+
+
 def untwisted_column_sweep(y, p):
     """Right normalization without the shared gauge factor that pins
     (R_t)_11 = I; this is the version whose block-trace gain is provable."""
-    from blockdxz.matcore import col_sums as _col_sums
-    from blockdxz.polar import polar_unitary
+    from blockdxz.matcore import col_sums
+    from blockdxz.polar import polar_unitary_batch
 
-    right = np.zeros((p.n, p.n), dtype=complex)
-    for k, s in enumerate(_col_sums(np.asarray(y, dtype=complex), p)):
-        ups, singular = polar_unitary(s)
-        blockk = np.eye(p.m) if singular else ups.conj().T
-        right[k * p.m : (k + 1) * p.m, k * p.m : (k + 1) * p.m] = blockk
-    return y @ right
+    upsilons, singular = polar_unitary_batch(col_sums(np.asarray(y, dtype=complex), p))
+    blocks = upsilons.conj().transpose(0, 2, 1)
+    blocks[singular] = np.eye(p.m)
+    return y @ block_diag(blocks)
 
 
 def test_block_trace_monotonicity():
@@ -100,7 +125,8 @@ def test_block_trace_monotonicity():
             for seed in range(56):
                 x = haar_random_unitary(RandomSpec(n, 600 + seed))
                 for _ in range(3):
-                    left, right, x_next = sinkhorn_step(x, p)
+                    lt, _, x_next = _sweep(x, p, PolarConfig())
+                    left = block_diag(lt)
                     before = abs(block_trace(x, p))
                     half = abs(block_trace(left @ x, p))
                     untwisted = abs(block_trace(untwisted_column_sweep(left @ x, p), p))
@@ -121,7 +147,7 @@ def test_scalar_blocks_keep_full_monotonicity():
         for seed in range(40):
             x = haar_random_unitary(RandomSpec(n, 600 + seed))
             for _ in range(4):
-                _, _, x_next = sinkhorn_step(x, p)
+                _, _, x_next = _sweep(x, p, PolarConfig())
                 assert abs(block_trace(x_next, p)) >= abs(block_trace(x, p)) - 1e-9
                 x = x_next
 
@@ -135,7 +161,8 @@ def test_gauge_factor_can_shed_block_trace():
     # the unit-line-sum group.
     p = BlockPartition(8, 2)
     u = haar_random_unitary(RandomSpec(8, 627))
-    left, right, x1 = sinkhorn_step(u, p)
+    lt, _, x1 = _sweep(u, p, PolarConfig())
+    left = block_diag(lt)
     before = abs(block_trace(u, p))
     half = abs(block_trace(left @ u, p))
     after = abs(block_trace(x1, p))
@@ -263,10 +290,10 @@ def test_decompose_rejects_bad_input(u6):
 def test_scalar_case_keeps_unit_modulus_factors():
     p = BlockPartition(6, 1)
     u = haar_random_unitary(RandomSpec(6, 9))
-    left, right, _ = sinkhorn_step(u, p)
-    assert np.allclose(np.abs(np.diagonal(left)), 1.0, atol=1e-12)
-    assert np.allclose(np.abs(np.diagonal(right)), 1.0, atol=1e-12)
-    assert np.linalg.norm(left - np.diag(np.diagonal(left))) == 0.0
+    lt, rt, _ = _sweep(u, p, PolarConfig())
+    assert lt.shape == rt.shape == (6, 1, 1)
+    assert np.allclose(np.abs(lt), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(rt), 1.0, atol=1e-12)
 
 
 def test_bookkeeping_is_exact():

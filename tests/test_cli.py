@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blockdxz
-from blockdxz import Permutation, RandomSpec, haar_random_unitary, load_matrix, save_matrix
+from blockdxz import BlockPartition, Permutation, RandomSpec, haar_random_unitary, load_matrix, save_matrix
 from blockdxz.cli import EXIT_DATA, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from refdata import SIGMA_FACTORS_M2, SIGMA_IMAGE, U6
 
@@ -330,3 +330,62 @@ def test_decompose_report_is_json(tmp_path, m, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is (code == EXIT_OK)
     assert all(type(v) is float for _, v in report["psi_trace"])
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
+def test_input_unitarity_is_checked_once(tmp_path, monkeypatch, command):
+    # decompose checks ||U^H U - I|| (of T^H U T under conjugate), so the
+    # CLI's own load pays no second n^3 Gram product
+    from blockdxz import blocksinkhorn
+    from blockdxz.structure import _fourier_conjugate
+
+    n, m = 8, 2
+    path = tmp_path / "u.json"
+    save_matrix(path, haar_random_unitary(RandomSpec(n, 5)))
+    u = load_matrix(path)
+    inputs = (u, _fourier_conjugate(u, BlockPartition(n, m), inverse=True))
+    checked = []
+    real = blocksinkhorn.unitarity_residual
+
+    def counting(a):
+        if a.shape == (n, n) and any(np.abs(a - b).max() <= 1e-12 for b in inputs):
+            checked.append(a)
+        return real(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("blockdxz") and hasattr(module, "unitarity_residual"):
+            monkeypatch.setattr(module, "unitarity_residual", counting)
+    argv = [command, str(path), "--m", str(m), "--max-iter", "3"]
+    if command in ("decompose", "conjugate"):
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) in (EXIT_OK, EXIT_NOT_CONVERGED)
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
+def test_non_unitary_input_is_a_data_error_after_the_block_size(tmp_path, capsys, command):
+    path = tmp_path / "nu.json"
+    save_matrix(path, 2 * np.eye(6))
+    argv = [command, str(path)]
+    if command in ("decompose", "conjugate"):
+        argv += ["-o", str(tmp_path / "out")]
+    assert main([*argv, "--m", "2"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "not unitary" in err
+    # the block size is checked first, so a bad --m is a usage error
+    assert main([*argv, "--m", "4"]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("wrong", ["u", "d", "x", "z"])
+def test_verify_wrong_shape_is_a_data_error(tmp_path, capsys, wrong):
+    mats = dict(zip("udxz", (Permutation(SIGMA_IMAGE).to_matrix(),) + SIGMA_FACTORS_M2))
+    mats[wrong] = np.eye(6)[:, :4] if wrong == "u" else np.eye(4)
+    paths = []
+    for name, a in mats.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_matrix(paths[-1], a)
+    assert main(["verify", *paths, "--m", "2"]) == EXIT_DATA
+    assert f"{wrong.upper()} has shape" in capsys.readouterr().err
+    # a block size that does not divide n (rows of U) stays a usage error
+    assert main(["verify", *paths, "--m", "4"]) == EXIT_USAGE

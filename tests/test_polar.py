@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blockdxz import PolarConfig, RandomSpec, haar_random_unitary, polar_oracle, polar_unitary
+from blockdxz import PolarConfig, RandomSpec, haar_random_unitary
 from blockdxz.polar import polar_unitary_batch
+from refdata import polar_oracle
 
 
 def random_complex(n, seed):
@@ -14,13 +15,13 @@ def test_unitary_input_is_fixed_point():
     for seed in range(20):
         u = haar_random_unitary(RandomSpec(3, seed))
         for iters in (1, 2, 10):
-            factor, singular = polar_unitary(u, PolarConfig(newton_iters=iters))
+            (factor,), (singular,) = polar_unitary_batch(u[None], PolarConfig(newton_iters=iters))
             assert not singular
             assert np.linalg.norm(factor - u) < 1e-12
 
 
 def test_positive_diagonal_gives_identity():
-    factor, singular = polar_unitary(np.diag([2.0, 3.0]))
+    (factor,), (singular,) = polar_unitary_batch(np.diag([2.0, 3.0])[None])
     assert not singular
     assert np.linalg.norm(factor - np.eye(2)) < 1e-12
 
@@ -28,7 +29,7 @@ def test_positive_diagonal_gives_identity():
 def test_known_factor_cross_checked_against_oracle():
     mat = np.array([[0.0, 2.0], [1.0, 0.0]])
     expected = np.array([[0.0, 1.0], [1.0, 0.0]])
-    factor, _ = polar_unitary(mat)
+    (factor,), _ = polar_unitary_batch(mat[None])
     assert np.linalg.norm(factor - expected) < 1e-12
     oracle, _ = polar_oracle(mat)
     assert np.linalg.norm(oracle - expected) < 1e-12
@@ -37,7 +38,7 @@ def test_known_factor_cross_checked_against_oracle():
 def test_oracle_agreement_on_random_matrices():
     for seed in range(1000):
         mat = random_complex(3, seed)
-        newton, s1 = polar_unitary(mat)
+        (newton,), (s1,) = polar_unitary_batch(mat[None])
         oracle, s2 = polar_oracle(mat)
         assert not s1 and not s2
         assert np.linalg.norm(newton - oracle) < 1e-6
@@ -56,7 +57,7 @@ def test_hermitian_positive_residue():
     cfg = PolarConfig()
     for seed in range(50):
         mat = random_complex(4, seed)
-        factor, singular = polar_unitary(mat, cfg)
+        (factor,), (singular,) = polar_unitary_batch(mat[None], cfg)
         assert not singular
         h = factor.conj().T @ mat
         assert np.linalg.norm(h - h.conj().T) < 1e-6
@@ -72,7 +73,7 @@ def test_recovers_unitary_factor_of_polar_product():
         evals = np.concatenate([[1.0, 1e-3], rng.uniform(1e-3, 1.0, 1)])
         basis = haar_random_unitary(RandomSpec(3, seed + 5000))
         pos = basis @ np.diag(evals) @ basis.conj().T
-        factor, _ = polar_unitary(phi @ pos, cfg)
+        (factor,), _ = polar_unitary_batch((phi @ pos)[None], cfg)
         assert np.linalg.norm(factor - phi) < 1e-8
 
 
@@ -80,32 +81,32 @@ def test_left_and_right_agree():
     # one factor serves M = Phi P and M = Q Phi: both P = Phi^H M and
     # Q = M Phi^H come out Hermitian positive definite
     mat = random_complex(3, 9)
-    factor, _ = polar_unitary(mat)
+    (factor,), _ = polar_unitary_batch(mat[None])
     for h in (factor.conj().T @ mat, mat @ factor.conj().T):
         assert np.linalg.norm(h - h.conj().T) < 1e-12
         assert np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() > 0
 
 
 def test_singular_inputs():
-    factor, singular = polar_unitary(np.zeros((2, 2)))
+    (factor,), (singular,) = polar_unitary_batch(np.zeros((2, 2))[None])
     assert singular
     assert np.array_equal(factor, np.eye(2))
-    factor, singular = polar_unitary(np.diag([1.0, 1e-12]))
+    (factor,), (singular,) = polar_unitary_batch(np.diag([1.0, 1e-12])[None])
     assert singular
-    factor, singular = polar_unitary(np.diag([1.0, 1e-12]), cfg=PolarConfig(sing_tol=1e-14))
+    (factor,), (singular,) = polar_unitary_batch(np.diag([1.0, 1e-12])[None], cfg=PolarConfig(sing_tol=1e-14))
     assert not singular
 
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
-        polar_unitary(np.ones((2, 3)))
+        polar_unitary_batch(np.ones((2, 3))[None])
 
 
 def test_factor_is_unitary_even_when_badly_conditioned():
     # ten plain Newton sweeps are not enough at sigma_min ~ 5e-3; the result
     # must still honor the unitarity contract
     mat = np.diag([1.0, 5e-3])
-    factor, singular = polar_unitary(mat)
+    (factor,), (singular,) = polar_unitary_batch(mat[None])
     assert not singular
     assert np.linalg.norm(factor.conj().T @ factor - np.eye(2)) < 1e-8
 
@@ -115,7 +116,7 @@ def test_batch_matches_scalar_path():
     mats[3] = 0.0
     factors, singular = polar_unitary_batch(mats)
     for i in range(12):
-        single, s = polar_unitary(mats[i])
+        (single,), (s,) = polar_unitary_batch(mats[i][None])
         assert singular[i] == s
         assert np.linalg.norm(factors[i] - single) < 1e-12
 
