@@ -32,7 +32,6 @@ from .blocksinkhorn import (
 from .structure import (
     BiunitaryVector,
     ConjugateDecomposition,
-    InconsistencyError,
     U2Parameters,
     biunitary_from_dxz,
     conjugate_decompose,

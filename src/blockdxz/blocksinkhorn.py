@@ -121,7 +121,10 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
 
     Non-convergence is reported, not raised: the decomposition is returned
     with converged=False and still reconstructs U exactly.  U is only read;
-    where a factor would be U itself it is a copy.
+    no factor shares memory with it.  psi is blind to a global phase, which
+    a sweep's row step removes; a run that stops before its first sweep puts
+    the phase Btr/|Btr| of U into D instead (1 when Btr = 0), so that X's line
+    sums are I.
     """
     u = as_matrix(u, copy=False)
     if u.shape[0] != u.shape[1]:
@@ -136,6 +139,10 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
         eye = np.eye(n, dtype=complex)
         return DxzDecomposition(u.copy(), eye, eye.copy(), p, [(0, psi(eye, p))], True, 0)
     lacc, x, racc, trace = (_scalar_run if m == 1 else _block_run)(u, p, cfg)
+    if trace[-1][0] == 0:
+        btr = _block_trace(x, p)
+        phase = (btr / abs(btr) if btr else 1.0).conjugate()
+        lacc, x = lacc * phase, x * phase
     return DxzDecomposition(
         D=block_diag(_adjoints(lacc)),
         X=x,
@@ -149,7 +156,7 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
 
 def _block_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):
     """The sweeps on block stacks; returns the (r, m, m) stacks of
-    L_t ... L_1 and R_1 ... R_t, X_t and the psi trace."""
+    L_t ... L_1 and R_1 ... R_t, X_t (U itself at t = 0) and the psi trace."""
     x = u  # the sweeps never write to x
     lacc = np.tile(np.eye(p.m, dtype=complex), (p.r, 1, 1))
     racc = lacc.copy()
@@ -163,7 +170,7 @@ def _block_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):
         lacc = lt @ lacc
         racc = racc @ rt
         trace.append((t, _psi(x, p)))
-    return lacc, (u.copy() if t == 0 else x), racc, trace
+    return lacc, x, racc, trace
 
 
 def _scalar_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):

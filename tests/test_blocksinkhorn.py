@@ -23,7 +23,7 @@ from blockdxz import (
     verify_decomposition,
 )
 from blockdxz.blocksinkhorn import _sweep
-from blockdxz.matcore import block_diag, diag_blocks, unitarity_residual
+from blockdxz.matcore import block_diag, diag_blocks, line_sum_residual, unitarity_residual
 from refdata import PSI_TABLE, SIGMA_FACTORS_M2, SIGMA_IMAGE, polar_oracle
 
 
@@ -254,6 +254,21 @@ def test_decompose_identity():
         assert np.array_equal(dec.Z, np.eye(6))
 
 
+@pytest.mark.parametrize("n, m", [(n, m) for n in (2, 4, 6, 8, 12) for m in range(1, n) if n % m == 0])
+def test_decompose_moves_a_global_phase_into_d(n, m):
+    # psi cannot see e^{i theta}: these inputs stop before the first sweep,
+    # and D must take the phase for X's line sums to be I
+    p = BlockPartition(n, m)
+    core = core_to_xu(haar_random_unitary(RandomSpec(p.q, 10 * n + m)), p)
+    inputs = [-np.eye(n), 1j * np.eye(n), np.exp(0.3j) * np.eye(n), np.exp(2.1j) * core, -core]
+    for u in inputs:
+        dec = decompose(u, m)
+        assert dec.converged and dec.iterations_used == 0
+        assert line_sum_residual(dec.X, p) <= 1e-12
+        assert np.linalg.norm(dec.D @ dec.X @ dec.Z - u) <= 1e-14 * n
+        assert verify_decomposition(u, dec, 1e-12).passed
+
+
 def test_decompose_single_block_is_trivial(u6):
     dec = decompose(u6, 6)
     assert np.array_equal(dec.D, u6)
@@ -283,6 +298,8 @@ def test_decompose_random_converges():
 def test_decompose_rejects_bad_input(u6):
     with pytest.raises(ValueError):
         decompose(2 * np.eye(4), 2)
+    with pytest.raises(ValueError, match="square"):
+        decompose(np.eye(4)[:2], 1)
     with pytest.raises(ValueError):
         decompose(u6, 4)
 

@@ -107,6 +107,9 @@ def test_usage_and_data_errors(tmp_path, u6_file):
     save_matrix(not_unitary, 2 * np.eye(4))
     assert main(["decompose", str(not_unitary), "--m", "2", "-o", str(tmp_path)]) == EXIT_DATA
     assert main(["decompose", str(tmp_path / "missing.json"), "--m", "2", "-o", str(tmp_path)]) == EXIT_DATA
+    wide = tmp_path / "wide.json"
+    save_matrix(wide, np.eye(4)[:2])
+    assert main(["decompose", str(wide), "--m", "1", "-o", str(tmp_path)]) == EXIT_DATA
     assert main(["nonsense"]) == EXIT_USAGE
     assert main(["--help"]) == EXIT_OK
 
@@ -389,3 +392,35 @@ def test_verify_wrong_shape_is_a_data_error(tmp_path, capsys, wrong):
     assert f"{wrong.upper()} has shape" in capsys.readouterr().err
     # a block size that does not divide n (rows of U) stays a usage error
     assert main(["verify", *paths, "--m", "4"]) == EXIT_USAGE
+
+
+_EDGE_UNITARIES = {
+    "minus-identity": -np.eye(6),
+    "i-identity": 1j * np.eye(6),
+    "phased-permutation": np.exp(0.3j) * Permutation(SIGMA_IMAGE).to_matrix(),
+    "one-by-one": np.array([[1j]]),
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
+@pytest.mark.parametrize(
+    "name, m",
+    [(name, m) for name in ("minus-identity", "i-identity") for m in (1, 2, 3, 6)]
+    + [("phased-permutation", 1), ("one-by-one", 1)],
+)
+def test_edge_unitaries_exit_with_a_documented_code(tmp_path, capsys, command, name, m):
+    # a global phase is invisible to psi, so these runs stop before the first sweep
+    path = tmp_path / "u.json"
+    save_matrix(path, _EDGE_UNITARIES[name])
+    argv = [command, str(path), "--m", str(m)]
+    if command in ("decompose", "conjugate"):
+        argv += ["-o", str(tmp_path / "out")]
+    code = main(argv)
+    assert code in (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_USAGE, EXIT_DATA)
+    if command == "decompose":
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["residuals"]["passed"] is report["converged"]
+    if command == "conjugate" and name.endswith("identity") and m < 6:
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["residuals"]["reconstruction"] <= 1e-12

@@ -59,6 +59,9 @@ def test_constructors_reject_nonfinite():
         as_matrix(np.array([[np.inf]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[1, np.nan]], dtype=complex), copy=False)
+    for shape in ((3,), (2, 2, 2), (0, 3)):
+        with pytest.raises(ValueError, match="2-D"):
+            as_matrix(np.ones(shape))
 
 
 def test_as_matrix_without_copy():
@@ -92,6 +95,11 @@ def test_block_index_out_of_range():
         block(np.eye(6), p, 0, 1)
     with pytest.raises(ValueError):
         block(np.eye(6), p, 1, 4)
+    for j in (0, 4):
+        with pytest.raises(ValueError, match="block row"):
+            block_row_sum(np.eye(6), p, j)
+        with pytest.raises(ValueError, match="block column"):
+            block_col_sum(np.eye(6), p, j)
 
 
 def test_block_reassembly_exact():
@@ -130,6 +138,8 @@ def test_dft_examples():
     assert np.linalg.norm(dft_matrix(2) - HADAMARD) < 1e-15
     f3 = dft_matrix(3)
     assert np.linalg.norm(f3.conj().T @ f3 - np.eye(3)) < 1e-14
+    with pytest.raises(ValueError):
+        dft_matrix(0)
 
 
 @pytest.mark.parametrize("r", [64, 512])
@@ -163,6 +173,8 @@ def test_haar_random_unitary():
     again = haar_random_unitary(RandomSpec(6, 42))
     assert np.array_equal(u, again)
     assert not np.array_equal(u, haar_random_unitary(RandomSpec(6, 43)))
+    with pytest.raises(ValueError):
+        haar_random_unitary(RandomSpec(0, 1))
 
 
 def test_haar_first_entry_statistics():

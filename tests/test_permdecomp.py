@@ -180,6 +180,8 @@ def test_complex_perm_rejects_bad_input():
         complex_perm_dxz(haar_random_unitary(RandomSpec(6, 1)), 2)
     with pytest.raises(ValueError):
         complex_perm_dxz(0.5 * Permutation(SIGMA_IMAGE).to_matrix(), 2)
+    with pytest.raises(ValueError, match="square"):
+        complex_perm_dxz(np.eye(6)[:4], 2)
 
 
 def test_perm_dxz_rejects_a_bad_coloring(monkeypatch):

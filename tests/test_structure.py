@@ -31,7 +31,7 @@ from blockdxz import (
     xu_from_biunitary,
     xu_to_core,
 )
-from blockdxz.structure import _fourier_conjugate
+from blockdxz.structure import _fourier_conjugate, identity_plus_core
 from refdata import SIGMA_FACTORS_M3, SIGMA_IMAGE
 
 TIGHT = IterationConfig(max_iter=3000, psi_tol=1e-12)
@@ -66,6 +66,13 @@ def test_membership_block_diagonal_cases():
     assert membership(mat, p, "DU", 1e-12)
     assert not membership(mat, p, "ZU", 1e-12)
     assert not membership(mat, p, "XU", 1e-12)
+    # not unitary: no group, however block-diagonal
+    for group in ("DU", "ZU", "XU"):
+        assert not membership(2 * np.eye(6), p, group, 1e-12)
+    # unitary with mass off the diagonal blocks: neither DU nor ZU
+    swap = Permutation((3, 4, 1, 2, 5, 6)).to_matrix()
+    for group in ("DU", "ZU"):
+        assert not membership(swap, p, group, 1e-12)
 
 
 def test_membership_rejects_unknown_group():
@@ -106,6 +113,19 @@ def test_fourier_conjugate_matches_dense_product(n, m):
     assert np.linalg.norm(_fourier_conjugate(a, p, inverse=True) - t.conj().T @ a @ t) <= 1e-12 * n
 
 
+def test_xu_to_core_bound_is_sqrt2_tol():
+    # Parseval allows T^H X T to miss I (+) G by sqrt(2) tol, more than tol:
+    # column sums e^{+-i eps} I and row sums within sqrt(2) eps of I
+    p = BlockPartition(4, 2)
+    eps, tol = 1e-9, 1.7e-9
+    x = core_to_xu(haar_random_unitary(RandomSpec(2, 1)), p)
+    x = x @ np.kron(np.diag([np.exp(1j * eps), np.exp(-1j * eps)]), np.eye(2))
+    assert membership(x, p, "XU", tol)
+    g = xu_to_core(x, p, tol)
+    deviation = np.linalg.norm(_fourier_conjugate(x, p, inverse=True) - identity_plus_core(g, p))
+    assert tol < deviation <= math.sqrt(2) * tol + 1e-15
+
+
 def test_xu_to_core_rejects_non_members(u6):
     with pytest.raises(ValueError):
         xu_to_core(u6, BlockPartition(6, 2), 1e-8)
@@ -118,6 +138,8 @@ def test_core_to_xu_examples():
     assert np.linalg.norm(swap - np.array([[0, 1], [1, 0]])) < 1e-12
     with pytest.raises(ValueError):
         core_to_xu(2 * np.eye(3), p)
+    with pytest.raises(ValueError, match="does not match"):
+        core_to_xu(np.eye(2), p)
 
 
 def test_core_round_trip_random():
@@ -179,6 +201,31 @@ def test_conjugate_reconstruction_below_1e7(u6):
     assert np.linalg.norm(conj.C @ mid @ conj.Y - u6) <= 1e-7
 
 
+@pytest.mark.parametrize("n, m", [(6, 2), (8, 2), (12, 3), (64, 8)])
+def test_conjugate_reconstruction_matches_dense_product(n, m):
+    u = haar_random_unitary(RandomSpec(n, 7))
+    p = BlockPartition(n, m)
+    for cfg in (IterationConfig(max_iter=5), IterationConfig()):
+        conj = conjugate_decompose(u, m, cfg)
+        dense = np.linalg.norm(conj.C @ identity_plus_core(conj.A, p) @ conj.Y - u)
+        assert abs(conj.reconstruction - dense) <= 1e-13 * n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conjugate_of_a_phase_times_identity(m):
+    # psi is blind to the phase, so the inner run stops before its first sweep
+    for u in (-np.eye(6), 1j * np.eye(6)):
+        conj = conjugate_decompose(u, m)
+        assert conj.converged and conj.iterations_used == 0
+        assert conj.reconstruction <= 1e-12
+        assert np.linalg.norm(conj.A - np.eye(6 - m)) <= 1e-12
+
+
+def test_conjugate_decompose_rejects_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        conjugate_decompose(np.eye(6)[:4], 2)
+
+
 def test_biunitary_identity_decomposition():
     v, w = biunitary_from_dxz(decompose(np.eye(6), 2))
     for blockv, blockw in zip(v.blocks, w.blocks):
@@ -215,6 +262,8 @@ def test_biunitary_vector_validation():
     for blocks in (not_unitary, mixed_size, non_square, non_finite, ()):
         with pytest.raises(ValueError):
             BiunitaryVector(blocks)
+    with pytest.raises(ValueError, match="cannot split"):
+        BiunitaryVector.from_stacked(np.eye(3), 2)
     v = BiunitaryVector.from_stacked(np.vstack([np.eye(2)] * 3), 2)
     assert v.r == 3 and v.m == 2
     assert np.linalg.norm(v.stacked.conj().T @ v.stacked - 3 * np.eye(2)) < 1e-12
@@ -239,6 +288,8 @@ def test_normalize_biunitary():
     vp, _ = normalize_biunitary(phased, phased)
     for b in vp.blocks:
         assert np.linalg.norm(b - np.eye(2)) < 1e-12
+    with pytest.raises(ValueError, match="matching"):
+        normalize_biunitary(v, BiunitaryVector(blocks[:2]))
 
 
 def test_normalize_preserves_product(u6):
@@ -277,6 +328,22 @@ def test_xu_from_biunitary_rejects_bad_pair(u6):
     e = BiunitaryVector((np.eye(2),) * 3)
     with pytest.raises(ValueError):
         xu_from_biunitary(u6, e, e, 1e-8)  # U E != E for this input
+    with pytest.raises(ValueError, match="matching"):
+        xu_from_biunitary(u6, e, BiunitaryVector((np.eye(2),) * 2), 1e-8)
+
+
+def test_xu_from_biunitary_rejects_non_unitary_u():
+    # U = X + K (I - E E^H / r) keeps U E = E, so the pair (E, E) satisfies
+    # U V = W, but U is not unitary
+    p = BlockPartition(6, 2)
+    x = core_to_xu(haar_random_unitary(RandomSpec(4, 3)), p)
+    e_stack = np.vstack([np.eye(2)] * 3)
+    k = np.random.default_rng(2).standard_normal((6, 6))
+    u = x + k @ (np.eye(6) - e_stack @ e_stack.T / 3)
+    assert np.linalg.norm(u @ e_stack - e_stack) < 1e-12
+    e = BiunitaryVector((np.eye(2),) * 3)
+    with pytest.raises(ValueError, match="not unitary"):
+        xu_from_biunitary(u, e, e, 1e-8)
 
 
 def test_u2_parameters_examples():
