@@ -39,7 +39,12 @@ class _UsageError(Exception):
 
 
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read in 1 MiB chunks rather than as one copy."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _load_square(path) -> np.ndarray:
@@ -156,8 +161,9 @@ def cmd_trace(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _UsageError("tol must be finite and non-negative")
-    u, d, x, z = map(load_matrix, (args.u, args.d, args.x, args.z))
-    p = _partition(u.shape[0], args.m)
+    u = load_matrix(args.u)
+    p = _partition(u.shape[0], args.m)  # a bad --m exits before D, X and Z are read
+    d, x, z = map(load_matrix, (args.d, args.x, args.z))
     report = verify_decomposition(u, DxzDecomposition(D=d, X=x, Z=z, partition=p), args.tol)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))

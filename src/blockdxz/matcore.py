@@ -239,40 +239,53 @@ def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
 # CMAT-JSON: {"rows": R, "cols": C, "data": [[[re, im], ...], ...]} row-major.
 
 def save_matrix(path, a) -> None:
-    """Write a matrix as CMAT-JSON."""
-    a = as_matrix(a)
-    payload = {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "data": np.stack((a.real, a.imag), axis=-1).tolist(),
-    }
-    Path(path).write_text(json.dumps(payload))
+    """Write a matrix as CMAT-JSON, one row at a time.  The text equals
+    json.dumps of the whole payload, but neither that text nor the nested
+    lists of every entry are ever held at once."""
+    a = as_matrix(a, copy=False)
+    rows, cols = a.shape
+    pairs = a.view(float).reshape(rows, cols, 2)
+    with open(path, "w") as fh:
+        fh.write(f'{{"rows": {rows}, "cols": {cols}, "data": [')
+        for i in range(rows):
+            fh.write((", " if i else "") + json.dumps(pairs[i].tolist()))
+        fh.write("]}")
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a CMAT-JSON matrix, rejecting shape mismatches and entries that are
     not pairs of finite numbers."""
     text = Path(path).read_text()
+    # JSON true/false decode to bool, a subclass of int; text without either
+    # literal holds no bool, so large files of numbers skip the per-entry scan
+    may_hold_bool = "true" in text or "false" in text
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    del text  # from here on only the parsed lists are held
     if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
         raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
     rows, cols, data = payload["rows"], payload["cols"], payload["data"]
-    # JSON true/false decode to bool, a subclass of int
     if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
         raise ValueError(f"{path}: invalid dimensions rows={rows}, cols={cols}")
     try:
-        a = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError, OverflowError) as exc:
+        pairs = np.array(data)
+    except ValueError as exc:  # ragged, or nested past numpy's 64 dimensions
         raise ValueError(f"{path}: malformed entries: {exc}") from exc
-    if a.shape != (rows, cols):
-        raise ValueError(f"{path}: data does not match declared shape {rows}x{cols}")
-    # complex() takes true/false as 1/0; text without either literal holds no
-    # bool, so large files of numbers skip the per-entry scan
-    if ("true" in text or "false" in text) and any(
-        type(v) is bool for row in data for entry in row for v in entry
-    ):
-        raise ValueError(f"{path}: malformed entries: true/false is not a number")
-    return as_matrix(a)
+    if pairs.shape != (rows, cols, 2):
+        raise ValueError(f"{path}: data is not a {rows}x{cols} array of [re, im] pairs")
+    # the shape is valid, so data is rows lists of cols two-element lists
+    if pairs.dtype.kind == "O":  # integers beyond 64 bits keep numpy from choosing a number type
+        numbers = all(type(v) is int or type(v) is float for v in pairs.flat)
+    else:
+        numbers = pairs.dtype.kind in "iuf" and not (
+            may_hold_bool and any(type(v) is bool for row in data for entry in row for v in entry)
+        )
+    if not numbers:
+        raise ValueError(f"{path}: malformed entries: re and im must be numbers, not strings, null or true/false")
+    try:
+        pairs = pairs.astype(float, copy=False)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: malformed entries: {exc}") from exc
+    return as_matrix(pairs.view(complex).reshape(rows, cols), copy=False)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import blockdxz
 from blockdxz import BlockPartition, Permutation, RandomSpec, haar_random_unitary, load_matrix, save_matrix
-from blockdxz.cli import EXIT_DATA, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+from blockdxz.cli import EXIT_DATA, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, _digest, main
 from refdata import SIGMA_FACTORS_M2, SIGMA_IMAGE, U6
 
 
@@ -55,6 +56,18 @@ def test_decompose_command(tmp_path, u6_file, capsys):
         assert (outdir / name).exists()
     values = [v for _, v in report["psi_trace"]]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_report_digest_is_the_sha256_of_the_input(tmp_path, u6_file):
+    for command in ("decompose", "conjugate"):
+        outdir = tmp_path / command
+        main([command, u6_file, "--m", "2", "-o", str(outdir)])
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["input_digest"] == hashlib.sha256(Path(u6_file).read_bytes()).hexdigest()
+    # a file of several 1 MiB chunks and a partial last one
+    big = tmp_path / "big.bin"
+    big.write_bytes(np.random.default_rng(2).bytes(5 * 2**19 + 3))
+    assert _digest(big) == hashlib.sha256(big.read_bytes()).hexdigest()
 
 
 def test_decompose_identity_converges_immediately(tmp_path, capsys):
@@ -124,6 +137,14 @@ def test_usage_and_data_errors(tmp_path, u6_file):
         {"rows": True, "cols": True, "data": [[[1, 0]]]},
         {"rows": 1, "cols": False, "data": [[]]},
         {"rows": 1, "cols": 1, "data": [[[10**400, 0]]]},  # an integer beyond float range
+        {"rows": 1, "cols": 1, "data": [[["1.5", 0]]]},
+        {"rows": 1, "cols": 1, "data": [[[None, 0]]]},
+        {"rows": 1, "cols": 1, "data": [[[1]]]},
+        {"rows": 1, "cols": 1, "data": [[[1, 0, 0]]]},
+        {"rows": 1, "cols": 2, "data": [[[1], 0]]},
+        {"rows": 1, "cols": 1, "data": [[{"a": 1}]]},
+        {"rows": 2, "cols": 2, "data": [[[1, 0], [0, 1]], [[1, 0]]]},  # ragged rows
+        {"rows": 1, "cols": 2, "data": [[[1.5, 0], [10**400, 0]]]},  # beyond float range, beside a float
     ],
 )
 def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):
@@ -392,6 +413,10 @@ def test_verify_wrong_shape_is_a_data_error(tmp_path, capsys, wrong):
     assert f"{wrong.upper()} has shape" in capsys.readouterr().err
     # a block size that does not divide n (rows of U) stays a usage error
     assert main(["verify", *paths, "--m", "4"]) == EXIT_USAGE
+    # and is found before D, X and Z are read
+    Path(paths[1]).write_text("{broken")
+    assert main(["verify", *paths, "--m", "4"]) == EXIT_USAGE
+    assert main(["verify", *paths, "--m", "2"]) == EXIT_DATA
 
 
 _EDGE_UNITARIES = {
