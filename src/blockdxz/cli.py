@@ -80,10 +80,14 @@ def _iteration_config(args) -> IterationConfig:
         raise _UsageError(str(exc)) from exc
 
 
+def _decompose(args, u: np.ndarray) -> DxzDecomposition:
+    _partition(u.shape[0], args.m)
+    return _run_on(args.input, decompose, u, args.m, _iteration_config(args))
+
+
 def _load_and_decompose(args) -> tuple[np.ndarray, DxzDecomposition]:
     u = _load_square(args.input)
-    _partition(u.shape[0], args.m)
-    return u, _run_on(args.input, decompose, u, args.m, _iteration_config(args))
+    return u, _decompose(args, u)
 
 
 def _save_factors(outdir, **factors) -> Path:
@@ -118,13 +122,14 @@ def _verify_tolerance(dec: DxzDecomposition) -> float:
     return max(1e-8, 10.0 * psi_final, 10.0 * (psi_final / dec.partition.n) ** 0.5)
 
 
-def _write_report(args, outdir: Path, p: BlockPartition, residuals: dict, converged: bool, started: float,
-                  psi_trace=()) -> None:
-    """Write <outdir>/report.json, and print it under --json."""
+def _write_report(args, outdir: Path, digest: str, p: BlockPartition, residuals: dict, converged: bool,
+                  started: float, psi_trace=()) -> None:
+    """Write <outdir>/report.json, and print it under --json.  digest is the
+    input's, taken on loading: a saved factor may have overwritten it since."""
     cfg = _iteration_config(args)
     text = json.dumps({
         "command": " ".join(args.argv),
-        "input_digest": _digest(args.input),
+        "input_digest": digest,
         "partition": {"n": p.n, "m": p.m, "r": p.r, "q": p.q},
         "config": {"max_iter": cfg.max_iter, "psi_tol": cfg.psi_tol, "polar_iters": cfg.polar.newton_iters},
         "psi_trace": [[t, value] for t, value in psi_trace],
@@ -139,10 +144,12 @@ def _write_report(args, outdir: Path, p: BlockPartition, residuals: dict, conver
 
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
-    u, dec = _load_and_decompose(args)
+    u = _load_square(args.input)
+    digest = _digest(args.input)
+    dec = _decompose(args, u)
     outdir = _save_factors(args.output, D=dec.D, X=dec.X, Z=dec.Z)
     verification = verify_decomposition(u, dec, _verify_tolerance(dec)).as_dict()
-    _write_report(args, outdir, dec.partition, verification, dec.converged, started, dec.psi_trace)
+    _write_report(args, outdir, digest, dec.partition, verification, dec.converged, started, dec.psi_trace)
     if not args.json:
         final_t, final_psi = dec.psi_trace[-1]
         print(f"converged: {dec.converged} after {final_t} iterations, psi = {final_psi:.3e}")
@@ -214,6 +221,7 @@ def cmd_biunitary(args) -> int:
 def cmd_conjugate(args) -> int:
     started = time.perf_counter()
     u = _load_square(args.input)
+    digest = _digest(args.input)
     p = _partition(u.shape[0], args.m)
     if p.q == 0:
         raise _UsageError(f"conjugate needs m < n (the core A would be 0 x 0), got m = n = {p.n}")
@@ -224,7 +232,7 @@ def cmd_conjugate(args) -> int:
         "c_circulant": bool(is_block_circulant(conj.C, p)),
         "y_circulant": bool(is_block_circulant(conj.Y, p)),
     }
-    _write_report(args, outdir, p, residuals, conj.converged, started)
+    _write_report(args, outdir, digest, p, residuals, conj.converged, started)
     if not args.json:
         print(f"converged: {conj.converged} after {conj.iterations_used} iterations")
         print(f"reconstruction residual: {residuals['reconstruction']:.3e}")

@@ -9,6 +9,13 @@ same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
 its factor is its phase z/|z| (exp(i arg z) where |z| is zero, subnormal or
 overflows) and its singular value its modulus |z|, so a stack of them costs a
 few elementwise operations.
+
+Two line sums S1, S2 with S1^H S1 + S2^H S2 = 2I, as the block row sums of a
+unitary with r = 2 blocks per side satisfy (and, on adjoints, its column
+sums), form a cosine-sine pair with shared right singular vectors (Paige &
+Wei 1994).  polar_unitary_pair takes both factors from one SVD of S1 and one
+Newton-Schulz step on the second, and declines where that step cannot make
+the second factor unitary to rounding.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ import numpy as np
 __all__ = ["PolarConfig"]
 
 _TINY = np.finfo(float).tiny
+# Gram defect ||Phi^H Phi - I||_F of the paired second factor up to which one
+# Newton-Schulz step brings it to rounding: the step leaves about
+# (3/4) defect^2 < eps
+_PAIR_GRAM_TOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,41 @@ def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> t
         _reject_non_finite(mats)
         factors[singular] = np.eye(mats.shape[-1])
     return factors, singular
+
+
+def polar_unitary_pair(sums: np.ndarray, cfg: PolarConfig = PolarConfig()) -> np.ndarray | None:
+    """The unitary polar factors of a (2, m, m) stack S1, S2 with
+    S1^H S1 + S2^H S2 = 2I, from one SVD; None where polar_unitary_batch
+    must take them.
+
+    With S1 = W Sigma V^H, V^H S2^H S2 V = 2I - Sigma^2 is diagonal, so the
+    columns of Y = S2 V are orthogonal and their norms are the singular
+    values of S2: Phi1 = W V^H and Phi2 = (Y / norms) V^H.  The identity
+    holds only to rounding and to the unitarity of the matrix the sums come
+    from, so Phi2 takes one Newton-Schulz step Phi2 (3I - Phi2^H Phi2) / 2.
+    Returns None when a singular value (of Sigma, or a column norm of Y) is
+    not above cfg.sing_tol, or when the Gram defect ||Phi2^H Phi2 - I||_F
+    exceeds _PAIR_GRAM_TOL, where one step cannot clean it up to rounding;
+    the SVD of each block then decides, with its identity fix-ups.  A
+    returned Phi2 lies within defect / 2 of the exact polar factor of S2, to
+    first order.
+    """
+    s1, s2 = sums
+    try:
+        w, svals, vh = np.linalg.svd(s1)
+    except np.linalg.LinAlgError:
+        return None
+    y = s2 @ vh.conj().T
+    norms = np.linalg.norm(y, axis=0)
+    if not (svals[-1] > cfg.sing_tol and norms.min() > cfg.sing_tol):  # or NaN
+        return None
+    phi2 = (y / norms) @ vh
+    gram = phi2.conj().T @ phi2
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not np.linalg.norm(gram) <= _PAIR_GRAM_TOL:
+        return None
+    phi2 -= 0.5 * (phi2 @ gram)  # Phi2 (3I - Phi2^H Phi2) / 2
+    return np.stack((w @ vh, phi2))
 
 
 def _reject_non_finite(mats: np.ndarray) -> None:

@@ -22,8 +22,10 @@ from blockdxz import (
     psi,
     verify_decomposition,
 )
+import blockdxz.blocksinkhorn as engine
 from blockdxz.blocksinkhorn import _sweep
-from blockdxz.matcore import block_diag, diag_blocks, line_sum_residual, unitarity_residual
+from blockdxz.matcore import block_diag, col_sums, diag_blocks, line_sum_residual, row_sums, unitarity_residual
+from blockdxz.polar import polar_unitary_batch
 from refdata import PSI_TABLE, SIGMA_FACTORS_M2, SIGMA_IMAGE, polar_oracle
 
 
@@ -105,9 +107,6 @@ def test_decompose_singular_column_sum_gets_identity(m):
 def untwisted_column_sweep(y, p):
     """Right normalization without the shared gauge factor that pins
     (R_t)_11 = I; this is the version whose block-trace gain is provable."""
-    from blockdxz.matcore import col_sums
-    from blockdxz.polar import polar_unitary_batch
-
     upsilons, singular = polar_unitary_batch(col_sums(np.asarray(y, dtype=complex), p))
     blocks = upsilons.conj().transpose(0, 2, 1)
     blocks[singular] = np.eye(p.m)
@@ -554,3 +553,70 @@ def test_verify_off_block_entry_takes_dense_route(n, m):
         assert offs.popitem()[1] == 0.0
         assert report.reconstruction == float(np.linalg.norm(d @ x @ z - u))
         assert report.d_unitarity == float(np.linalg.norm(d.conj().T @ d - np.eye(n)))
+
+
+def paired_and_svd_runs(monkeypatch, u, m, cfg=IterationConfig()):
+    """decompose with the r = 2 paired polar route from m = 2 on, and with
+    the SVD of every block (the floor raised past any m)."""
+    runs = []
+    for floor in (2, 10**9):
+        monkeypatch.setattr(engine, "_PAIRED_POLAR_MIN_M", floor)
+        runs.append(decompose(u, m, cfg))
+    return runs
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_paired_route_matches_svd_route(monkeypatch, n):
+    u = haar_random_unitary(RandomSpec(n, 40 + n))
+    cfg = IterationConfig(max_iter=20)
+    svd_calls = []
+    monkeypatch.setattr(engine, "polar_unitary_batch", lambda *a: svd_calls.append(a) or polar_unitary_batch(*a))
+    paired, svd = paired_and_svd_runs(monkeypatch, u, n // 2, cfg)
+    assert len(svd_calls) == 2 * 20  # every step of the svd run, none of the paired one
+    for a, b in ((paired.X, svd.X), (paired.D, svd.D), (paired.Z, svd.Z)):
+        assert np.linalg.norm(a - b) <= 1e-12 * n
+    assert [t for t, _ in paired.psi_trace] == [t for t, _ in svd.psi_trace]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(paired.psi_trace, svd.psi_trace)) <= 1e-12 * n
+    report = verify_decomposition(u, paired, 1e-12)
+    assert max(report.reconstruction, report.d_unitarity, report.z_unitarity) <= 1e-14 * n
+
+
+def test_paired_route_keeps_convergence_and_sweep_counts(monkeypatch):
+    # 30 seeded r = 2 inputs at the default psi_tol, exactly unitary, and 30
+    # perturbed to ||U^H U - I|| ~ 3e-9 (inside the 1e-8 input check), where
+    # the identity behind the paired route holds only to that defect
+    rng = np.random.default_rng(15)
+    counts = []
+    for i in range(60):
+        m = (2, 3, 4, 6, 8)[i % 5]
+        u = haar_random_unitary(RandomSpec(2 * m, 1500 + i))
+        if i >= 30:
+            noise = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+            u = u + 1.5e-9 * noise / np.linalg.norm(noise)
+            assert 1e-9 <= unitarity_residual(u) <= 1e-8
+        paired, svd = paired_and_svd_runs(monkeypatch, u, m)
+        assert paired.converged == svd.converged
+        counts.append((paired.iterations_used, svd.iterations_used))
+    assert all(a == b for a, b in counts[:30])
+    assert all(abs(a - b) <= 1 for a, b in counts[30:])
+
+
+@pytest.mark.parametrize("signs", [(1, -1, 1, 1), (1, 1, 1, -1)])
+def test_singular_sums_take_the_svd_route_exactly(monkeypatch, signs):
+    # (1/sqrt2) [[I, -I], [I, I]] has row sum S1 = 0 and column sum C2 = 0;
+    # [[I, I], [I, -I]] / sqrt2 has S2 = 0 and C2 = 0.  At the floor the
+    # paired route declines, and the sweep returns the SVD route's factors
+    m = engine._PAIRED_POLAR_MIN_M
+    p = BlockPartition(2 * m, m)
+    u = np.kron(np.reshape(signs, (2, 2)) / np.sqrt(2), np.eye(m))
+    sweeps = []
+    for floor in (m, 10**9):
+        monkeypatch.setattr(engine, "_PAIRED_POLAR_MIN_M", floor)
+        sweeps.append(_sweep(u, p, PolarConfig()))
+    for a, b in zip(*sweeps):
+        assert np.array_equal(a, b)
+    for sums in (row_sums(u, p), col_sums(u, p)):
+        for adjoint in (False, True):
+            factors, singular = engine._line_sum_polars(sums, p, PolarConfig(), adjoint=adjoint)
+            expected, expected_singular = polar_unitary_batch(sums)
+            assert np.array_equal(factors, expected) and np.array_equal(singular, expected_singular)

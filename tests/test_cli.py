@@ -70,6 +70,18 @@ def test_report_digest_is_the_sha256_of_the_input(tmp_path, u6_file):
     assert _digest(big) == hashlib.sha256(big.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("command, name", [("decompose", "D"), ("decompose", "X"), ("decompose", "Z"),
+                                           ("conjugate", "C"), ("conjugate", "A"), ("conjugate", "Y")])
+def test_report_digest_is_taken_before_an_output_overwrites_the_input(tmp_path, command, name):
+    # the input sits in the output directory under the name of an output
+    path = tmp_path / f"{name}.json"
+    save_matrix(path, haar_random_unitary(RandomSpec(6, 11)))
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    main([command, str(path), "--m", "2", "-o", str(tmp_path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != before  # overwritten by the output
+    assert json.loads((tmp_path / "report.json").read_text())["input_digest"] == before
+
+
 def test_decompose_identity_converges_immediately(tmp_path, capsys):
     path = tmp_path / "eye.json"
     save_matrix(path, np.eye(6))

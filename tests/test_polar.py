@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blockdxz import PolarConfig, RandomSpec, haar_random_unitary
-from blockdxz.polar import polar_unitary_batch
+from blockdxz import BlockPartition, PolarConfig, RandomSpec, haar_random_unitary
+from blockdxz.matcore import _adjoints, block_diag, col_sums, row_sums, unitarity_residual
+from blockdxz.polar import _PAIR_GRAM_TOL, polar_unitary_batch, polar_unitary_pair
 from refdata import polar_oracle
 
 
@@ -191,3 +192,88 @@ def test_batch_rejects_non_finite_entries(m, bad):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         PolarConfig(**kwargs)
+
+
+def haar_iterate(n, seed, sweeps=2):
+    """A Haar unitary after a few sweeps at r = 2, as the paired route sees it."""
+    from blockdxz import IterationConfig, decompose
+
+    return decompose(haar_random_unitary(RandomSpec(n, seed)), n // 2, IterationConfig(max_iter=sweeps)).X
+
+
+def paired_line_sum_factors(x, p):
+    """polar_unitary_pair of the row sums and, on adjoints, of the column sums."""
+    rows = polar_unitary_pair(row_sums(x, p))
+    cols = polar_unitary_pair(_adjoints(col_sums(x, p)))
+    return rows, None if cols is None else _adjoints(cols)
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_pair_matches_batch_on_haar_iterates(n):
+    p = BlockPartition(n, n // 2)
+    x = haar_iterate(n, n)
+    for sums, paired in zip((row_sums(x, p), col_sums(x, p)), paired_line_sum_factors(x, p)):
+        expected, singular = polar_unitary_batch(sums)
+        assert not singular.any()
+        assert paired is not None
+        assert np.linalg.norm(paired - expected, axis=(1, 2)).max() <= 1e-12 * n
+        assert unitarity_residual(paired[0]) <= 1e-13 * n and unitarity_residual(paired[1]) <= 1e-13 * n
+
+
+def cosine_sine_unitary(m, sigma, seed):
+    """diag(A1, A2) [[C, -S], [S, C]] diag(B, B)^H with Haar A1, A2, B: its
+    row sums A1 (C - S) B^H and A2 (C + S) B^H have the singular values
+    |cos t -+ sin t|, and one angle t puts sigma among those of the second."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0, np.pi / 2, m)
+    theta[0] = np.arcsin(sigma / np.sqrt(2)) - np.pi / 4
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    a1, a2, b = (haar_random_unitary(RandomSpec(m, 3 * seed + i)) for i in range(3))
+    return block_diag(np.stack((a1, a2))) @ np.block([[c, -s], [s, c]]) @ block_diag(np.stack((b, b))).conj().T
+
+
+def test_pair_on_near_singular_sums_stays_within_its_gram_bound():
+    # a returned Phi2 lies within defect / 2 of the exact factor to first
+    # order, and the defect is at most _PAIR_GRAM_TOL (1.5e-8); the SVD
+    # route's own error, ~eps / sigma, is far below that.  Measured at
+    # m = 32: 1e-11 at sigma = 1e-3, 1e-9 at 1e-5, 5.7e-9 at 1e-6, where
+    # the first seeds decline; every seed declines from sigma = 1e-9 on
+    m = 32
+    p = BlockPartition(2 * m, m)
+    taken = {}
+    for sigma in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        for seed in range(5):
+            sums = row_sums(cosine_sine_unitary(m, sigma, seed), p)
+            assert abs(np.linalg.svd(sums[1], compute_uv=False)[-1] - sigma) <= 1e-14
+            paired = polar_unitary_pair(sums)
+            taken[sigma, seed] = paired is not None
+            if paired is not None:
+                expected, _ = polar_unitary_batch(sums)
+                assert np.linalg.norm(paired - expected, axis=(1, 2)).max() <= _PAIR_GRAM_TOL
+                assert unitarity_residual(paired) <= 1e-13 * m
+    assert all(taken[1e-3, seed] for seed in range(5))
+    assert not any(taken[1e-9, seed] for seed in range(5))
+
+
+def test_pair_declines_singular_and_non_finite_sums():
+    m = 4
+    eye = np.eye(m, dtype=complex)
+    for sums in (np.stack((0 * eye, np.sqrt(2) * eye)), np.stack((np.sqrt(2) * eye, 0 * eye))):
+        for sing_tol in (1e-10, 0.0):  # an exact zero declines even without a tolerance
+            assert polar_unitary_pair(sums, PolarConfig(sing_tol=sing_tol)) is None
+    # NaN in S2 gives NaN norms; in S1, inf gives NaN singular values and
+    # NaN makes the SVD raise
+    for block, bad in ((1, np.nan), (0, np.inf), (0, np.nan)):
+        sums = np.stack((eye, eye))
+        sums[block, 0, 1] = bad
+        assert polar_unitary_pair(sums) is None
+
+
+def test_pair_declines_sums_whose_gram_one_step_cannot_clean():
+    # S1 = S2 = I keep S1^H S1 + S2^H S2 = 2I; an off-diagonal 1e-7 in S2
+    # breaks it, so Y = S2 V has a Gram defect of ~1e-7, past the bound
+    m = 3
+    sums = np.stack((np.eye(m), np.eye(m))).astype(complex)
+    assert np.abs(polar_unitary_pair(sums) - sums).max() <= 1e-15
+    sums[1, 0, 1] = 1e-7
+    assert polar_unitary_pair(sums) is None
