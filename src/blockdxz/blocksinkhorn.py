@@ -5,20 +5,21 @@ built from inverse polar factors of the block row sums, then right-multiplies
 by a block-diagonal R_t built the same way from the block column sums, driving
 every block line sum of X_t toward the identity.  Progress is monitored by
 psi(M) = n^2 - |Btr(M)|^2, which is zero exactly on the unit-line-sum group.
-With r = 2 blocks per side and m >= _PAIRED_POLAR_MIN_M, the two row sums
-(and the two column sums) of the unitary X_t are a cosine-sine pair, and each
-step takes both polar factors from one SVD (polar.polar_unitary_pair); a
-singular or ill-conditioned pair gets the SVD of each block, as smaller m do.
 
-The sweep keeps L_t, R_t and the accumulated D and Z as (r, m, m) stacks of
-their diagonal blocks and applies them as batched matmuls on the (r, m, n)
-and (r, n, m) views of X.  For m = 1 (the scalar-block case, where a sweep
-only rescales rows and columns by phases) the sweep never forms X: with
-X_t = diag(l) U diag(v), its line sums are two matrix-vector products on the
-untouched U, and X is formed once, on return.  n x n block-diagonal
-matrices are built only for the returned D and Z.  The verifier reads its
-inputs in place and applies the diagonal blocks of D and Z the same way, so
-X's unitarity is its only dense n x n product.
+The sweep never forms X_t.  Since polar(A B) = polar(A) B for unitary B, the
+products of the L_t and R_t are X_t = diag(Q)^H U diag(V) with (r, m, m)
+stacks Q and V, V_1 = I, and a sweep is W = U V, Q = polar(W), G = U^H Q,
+V = polar(G) polar(G_1)^H: two n x n by n x m products on the untouched U
+and two batched polar factors, for every m < n (at m = 1, Sinkhorn normal
+form, they are matrix-vector products and phases).  Nothing is accumulated,
+so rounding does not build up over a long run.  X is formed once, on return,
+and D = diag(Q), Z = diag(V)^H are the only n x n block-diagonal matrices
+built.  With r = 2 blocks per side and m >= _PAIRED_POLAR_MIN_M, the two
+blocks of W (and of G) are a cosine-sine pair, and each step takes both
+polar factors from one SVD (polar.polar_unitary_pair); a singular or
+ill-conditioned pair gets the SVD of each block, as smaller m do.  The
+verifier reads its inputs in place and applies the diagonal blocks of D and
+Z as batched matmuls, so X's unitarity is its only dense n x n product.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (
-    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, col_sums,
-    line_sum_residual, row_sums, split_block_diagonal, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, line_sum_residual,
+    split_block_diagonal, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch, polar_unitary_pair
 
@@ -107,40 +108,42 @@ def _psi(x: np.ndarray, p: BlockPartition) -> float:
     return float(p.n**2 - abs(_block_trace(x, p)) ** 2)
 
 
-def _sweep(x: np.ndarray, p: BlockPartition, cfg: PolarConfig):
-    """One bilateral sweep on block stacks; returns the diagonal blocks of L_t
-    and R_t as (r, m, m) stacks and X_t = L_t x R_t.  (L_t)_jj inverts the
-    polar factor of block row sum j of x; (R_t)_kk is Upsilon_k^{-1} Upsilon_1
-    from the block column sums of L_t x, so (R_t)_11 = I.  A singular line sum
-    contributes the identity."""
-    phis, _ = _line_sum_polars(row_sums(x, p), p, cfg)
-    lt = _adjoints(phis)
-    y = _apply_left(lt, x, p)
+def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockPartition, cfg: PolarConfig):
+    """One bilateral sweep on X = diag(Q)^H U diag(V), given w = U V, with
+    Q, V and w as (r, m, m) stacks; returns the next Q and V.
+    Block row sum j of X is Q_j^H W_j, so the row step sets Q_j = polar(W_j);
+    block column sum k after it is G_k^H V_k with G = U^H Q, so the column
+    step sets V_k = polar(G_k) polar(G_1)^H, which keeps V_1 = I.  A singular
+    line sum keeps its previous Q_j or V_k, as the identity step of the
+    dense sweep does."""
+    q_next, singular = _line_sum_polars(w, p, cfg)
+    q_next[singular] = q[singular]
+    # G = conj(U^T conj(Q)): matmul reads U transposed in place, so a sweep
+    # streams U alone.  With a conjugated copy of U beside it, the two no
+    # longer fit a 2 MB L2 cache at n = 256: 100 -> 130 us per m = 1 sweep
+    g = (u.T @ q_next.reshape(p.n, p.m).conj()).conj()
+    upsilons, singular = _line_sum_polars(g.reshape(q.shape), p, cfg)
+    v_next = upsilons @ _adjoints(upsilons[:1])
+    v_next[singular] = v[singular]
+    return q_next, v_next
 
-    upsilons, singular = _line_sum_polars(col_sums(y, p), p, cfg, adjoint=True)
-    rt = _adjoints(upsilons) @ upsilons[0]
-    if singular.any():
-        rt[singular] = np.eye(p.m)
-    return lt, rt, _apply_right(y, rt, p)
 
-
-def _line_sum_polars(sums: np.ndarray, p: BlockPartition, cfg: PolarConfig, adjoint: bool = False):
-    """polar_unitary_batch of a stack of block line sums.  With r = 2 from
-    m = _PAIRED_POLAR_MIN_M on, polar_unitary_pair takes both factors from
-    one SVD where it can: the row sums S1, S2 of a unitary as they are
-    (S1^H S1 + S2^H S2 = 2I), and the column sums C1, C2 (adjoint=True)
-    through their adjoints (C1 C1^H + C2 C2^H = 2I)."""
+def _line_sum_polars(sums: np.ndarray, p: BlockPartition, cfg: PolarConfig):
+    """polar_unitary_batch of the (r, m, m) stack W = U V or G = U^H Q.  With
+    r = 2 both satisfy S1^H S1 + S2^H S2 = 2I (W^H W = V^H V and G^H G =
+    Q^H Q), so from m = _PAIRED_POLAR_MIN_M on polar_unitary_pair takes both
+    factors from one SVD where it can."""
     if p.r == 2 and p.m >= _PAIRED_POLAR_MIN_M:
-        factors = polar_unitary_pair(_adjoints(sums) if adjoint else sums, cfg)
+        factors = polar_unitary_pair(sums, cfg)
         if factors is not None:
-            return (_adjoints(factors) if adjoint else factors), np.zeros(2, dtype=bool)
+            return factors, np.zeros(2, dtype=bool)
     return polar_unitary_batch(sums, cfg)
 
 
 def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecomposition:
-    """Iterate the bilateral sweep from X_0 = U until psi <= cfg.psi_tol
-    or cfg.max_iter sweeps, accumulating D = (L_t ... L_1)^H and
-    Z = (R_1 ... R_t)^H block by block.
+    """Iterate the bilateral sweep from X_0 = U until psi <= cfg.psi_tol or
+    cfg.max_iter sweeps.  The state is X_t = diag(Q)^H U diag(V) with V_1 = I,
+    so D = diag(Q), Z = diag(V)^H, and X is formed once, on return.
 
     Non-convergence is reported, not raised: the decomposition is returned
     with converged=False and still reconstructs U exactly.  U is only read;
@@ -161,69 +164,29 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
         # single-block case: D = U does everything
         eye = np.eye(n, dtype=complex)
         return DxzDecomposition(u.copy(), eye, eye.copy(), p, [(0, psi(eye, p))], True, 0)
-    lacc, x, racc, trace = (_scalar_run if m == 1 else _block_run)(u, p, cfg)
-    if trace[-1][0] == 0:
-        btr = _block_trace(x, p)
-        phase = (btr / abs(btr) if btr else 1.0).conjugate()
-        lacc, x = lacc * phase, x * phase
+    q = v = np.tile(np.eye(m, dtype=complex), (p.r, 1, 1))
+    w = (u @ v.reshape(n, m)).reshape(v.shape)
+    # Btr of X_t is the sum of the traces of its row sums Q_j^H W_j, read off
+    # the W = U V that the next sweep starts from
+    btr = np.vdot(q, w)
+    trace = [(0, float(n * n - abs(btr) ** 2))]
+    t = 0
+    while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
+        t += 1
+        q, v = _sweep(u, w, q, v, p, cfg.polar)
+        w = (u @ v.reshape(n, m)).reshape(v.shape)
+        trace.append((t, float(n * n - abs(np.vdot(q, w)) ** 2)))
+    if t == 0:
+        q = q * (btr / abs(btr) if btr else 1.0)
     return DxzDecomposition(
-        D=block_diag(_adjoints(lacc)),
-        X=x,
-        Z=block_diag(_adjoints(racc)),
+        D=block_diag(q),
+        X=_apply_right(_apply_left(_adjoints(q), u, p), v, p),
+        Z=block_diag(_adjoints(v)),
         partition=p,
         psi_trace=trace,
         converged=trace[-1][1] <= cfg.psi_tol,
-        iterations_used=trace[-1][0],
+        iterations_used=t,
     )
-
-
-def _block_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):
-    """The sweeps on block stacks; returns the (r, m, m) stacks of
-    L_t ... L_1 and R_1 ... R_t, X_t (U itself at t = 0) and the psi trace."""
-    x = u  # the sweeps never write to x
-    lacc = np.tile(np.eye(p.m, dtype=complex), (p.r, 1, 1))
-    racc = lacc.copy()
-    # u is validated and every later x is the sweep's own output, so the loop
-    # skips psi()'s copy and finiteness check
-    trace = [(0, _psi(x, p))]
-    t = 0
-    while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
-        t += 1
-        lt, rt, x = _sweep(x, p, cfg.polar)
-        lacc = lt @ lacc
-        racc = racc @ rt
-        trace.append((t, _psi(x, p)))
-    return lacc, x, racc, trace
-
-
-def _scalar_run(u: np.ndarray, p: BlockPartition, cfg: IterationConfig):
-    """The sweeps for m = 1 against the untouched U.
-
-    Here X_t = diag(l) U diag(v) with l and v the accumulated row and column
-    phases, so its row sums are l * (U v) and the column sums after the row
-    step l' are (l'^T U) * v: two matrix-vector products per sweep, and X is
-    formed once, on return.  Btr is the sum of all entries, so psi comes from
-    the row sums that the next sweep starts from.  Returns what _block_run
-    does.
-    """
-    n = p.n
-    lacc = racc = np.ones(n, dtype=complex)
-    rows = u @ racc
-    trace = [(0, float(n * n - abs(rows.sum()) ** 2))]
-    t = 0
-    while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
-        t += 1
-        phis, _ = polar_unitary_batch(rows.reshape(n, 1, 1), cfg.polar)
-        lacc = lacc * phis.ravel().conj()
-        upsilons, singular = polar_unitary_batch(((lacc @ u) * racc).reshape(n, 1, 1), cfg.polar)
-        rt = upsilons.ravel().conj() * upsilons[0, 0, 0]
-        rt[singular] = 1.0
-        racc = racc * rt
-        rows = lacc * (u @ racc)
-        trace.append((t, float(n * n - abs(rows.sum()) ** 2)))
-    x = lacc[:, None] * u
-    x *= racc
-    return lacc.reshape(n, 1, 1), x, racc.reshape(n, 1, 1), trace
 
 
 @dataclass

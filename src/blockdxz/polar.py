@@ -10,10 +10,11 @@ its factor is its phase z/|z| (exp(i arg z) where |z| is zero, subnormal or
 overflows) and its singular value its modulus |z|, so a stack of them costs a
 few elementwise operations.
 
-Two line sums S1, S2 with S1^H S1 + S2^H S2 = 2I, as the block row sums of a
-unitary with r = 2 blocks per side satisfy (and, on adjoints, its column
-sums), form a cosine-sine pair with shared right singular vectors (Paige &
-Wei 1994).  polar_unitary_pair takes both factors from one SVD of S1 and one
+Two m x m blocks S1, S2 with S1^H S1 + S2^H S2 = 2I, as the two blocks of
+U V for a unitary U with r = 2 blocks per side and block-diagonal unitary V
+satisfy (the stacks whose polar factors a block-Sinkhorn sweep takes), form
+a cosine-sine pair with shared right singular vectors (Paige & Wei 1994).
+polar_unitary_pair takes both factors from one SVD of S1 and one
 Newton-Schulz step on the second, and declines where that step cannot make
 the second factor unitary to rounding.
 """

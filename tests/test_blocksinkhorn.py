@@ -23,8 +23,10 @@ from blockdxz import (
     verify_decomposition,
 )
 import blockdxz.blocksinkhorn as engine
-from blockdxz.blocksinkhorn import _sweep
-from blockdxz.matcore import block_diag, col_sums, diag_blocks, line_sum_residual, row_sums, unitarity_residual
+from blockdxz.matcore import (
+    _adjoints, _apply_left, _apply_right, block_diag, col_sums, diag_blocks, line_sum_residual, row_sums,
+    unitarity_residual,
+)
 from blockdxz.polar import polar_unitary_batch
 from refdata import PSI_TABLE, SIGMA_FACTORS_M2, SIGMA_IMAGE, polar_oracle
 
@@ -50,10 +52,21 @@ def test_psi_values(u6):
     assert abs(psi(u6, BlockPartition(6, 2)) - 32.000) < 1e-3
 
 
+def sweep_from(x, p, cfg=PolarConfig()):
+    """The engine's sweep started from X with Q = V = I, which is one sweep
+    on X itself: returns the diagonal blocks Q^H of L_t and V of R_t as
+    (r, m, m) stacks, and X_next = L_t X R_t."""
+    x = np.asarray(x, dtype=complex)
+    eye = np.tile(np.eye(p.m, dtype=complex), (p.r, 1, 1))
+    q, v = engine._sweep(x, row_sums(x, p), eye, eye, p, cfg)
+    lt = _adjoints(q)
+    return lt, v, _apply_right(_apply_left(lt, x, p), v, p)
+
+
 def test_step_fixes_core_members():
     p = BlockPartition(6, 2)
     x = core_to_xu(haar_random_unitary(RandomSpec(4, 17)), p)
-    lt, rt, x_next = _sweep(x, p, PolarConfig())
+    lt, rt, x_next = sweep_from(x, p)
     assert np.linalg.norm(block_diag(lt) - np.eye(6)) < 1e-10
     assert np.linalg.norm(block_diag(rt) - np.eye(6)) < 1e-10
     assert np.linalg.norm(x_next - x) < 1e-10
@@ -61,7 +74,7 @@ def test_step_fixes_core_members():
 
 def test_step_reproduces_first_table_entry(u6):
     p = BlockPartition(6, 1)
-    _, _, x1 = _sweep(u6, p, PolarConfig())
+    _, _, x1 = sweep_from(u6, p)
     assert abs(psi(x1, p) - PSI_TABLE[1][1]) < 0.05
 
 
@@ -70,7 +83,7 @@ def test_step_singular_column_sum_gets_identity():
     # would give R_22 = Upsilon_1 = i through the gauge factor
     p = BlockPartition(3, 1)
     x = np.array([[1j, 1, 1 - 1j], [-1j, -1, 2 + 1j], [1j, 0, 1 - 1j]])
-    lt, rt, x_next = _sweep(x, p, PolarConfig())
+    lt, rt, x_next = sweep_from(x, p)
     left, right = block_diag(lt), block_diag(rt)
     assert np.array_equal(left, np.eye(3))
     assert right[0, 0] == 1 and right[1, 1] == 1
@@ -90,9 +103,10 @@ def singular_column_sum_unitary(m):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_decompose_singular_column_sum_gets_identity(m):
-    # m = 1 and m >= 2 run different sweep loops, each with its own fix-up:
-    # without it the gauge factor Upsilon_1 = -i would land on the singular
-    # columns.  One sweep leaves every factor exact; later sweeps round
+    # m = 1 takes phases and m = 2 the SVD of each block, each with its
+    # identity fix-up, which keeps the previous V_k: without it the gauge
+    # factor Upsilon_1 = -i would land on the singular columns.  One sweep
+    # leaves every factor exact; later sweeps round
     p = BlockPartition(8 * m, m)
     u = singular_column_sum_unitary(m)
     dec = decompose(u, m, IterationConfig(max_iter=1))
@@ -124,7 +138,7 @@ def test_block_trace_monotonicity():
             for seed in range(56):
                 x = haar_random_unitary(RandomSpec(n, 600 + seed))
                 for _ in range(3):
-                    lt, _, x_next = _sweep(x, p, PolarConfig())
+                    lt, _, x_next = sweep_from(x, p)
                     left = block_diag(lt)
                     before = abs(block_trace(x, p))
                     half = abs(block_trace(left @ x, p))
@@ -146,7 +160,7 @@ def test_scalar_blocks_keep_full_monotonicity():
         for seed in range(40):
             x = haar_random_unitary(RandomSpec(n, 600 + seed))
             for _ in range(4):
-                _, _, x_next = _sweep(x, p, PolarConfig())
+                _, _, x_next = sweep_from(x, p)
                 assert abs(block_trace(x_next, p)) >= abs(block_trace(x, p)) - 1e-9
                 x = x_next
 
@@ -160,7 +174,7 @@ def test_gauge_factor_can_shed_block_trace():
     # the unit-line-sum group.
     p = BlockPartition(8, 2)
     u = haar_random_unitary(RandomSpec(8, 627))
-    lt, _, x1 = _sweep(u, p, PolarConfig())
+    lt, _, x1 = sweep_from(u, p)
     left = block_diag(lt)
     before = abs(block_trace(u, p))
     half = abs(block_trace(left @ u, p))
@@ -233,8 +247,6 @@ def test_scalar_decompose_matches_dense_reference(n):
 
 @pytest.mark.parametrize("n", [1, 5, 64])
 def test_scalar_applies_match_block_diagonal_products(n):
-    from blockdxz.matcore import _apply_left, _apply_right
-
     rng = np.random.default_rng(n)
     p = BlockPartition(n, 1)
     blocks = np.exp(2j * np.pi * rng.random((n, 1, 1)))
@@ -306,7 +318,7 @@ def test_decompose_rejects_bad_input(u6):
 def test_scalar_case_keeps_unit_modulus_factors():
     p = BlockPartition(6, 1)
     u = haar_random_unitary(RandomSpec(6, 9))
-    lt, rt, _ = _sweep(u, p, PolarConfig())
+    lt, rt, _ = sweep_from(u, p)
     assert lt.shape == rt.shape == (6, 1, 1)
     assert np.allclose(np.abs(lt), 1.0, atol=1e-12)
     assert np.allclose(np.abs(rt), 1.0, atol=1e-12)
@@ -318,6 +330,20 @@ def test_bookkeeping_is_exact():
         dec = decompose(u, m, IterationConfig(max_iter=40))
         # D = L^H and Z = R^H, so L U R = D^H U Z^H must equal the iterate
         assert np.linalg.norm(dec.D.conj().T @ u @ dec.Z.conj().T - dec.X) <= 1e-10
+
+
+@pytest.mark.parametrize("n, m, seed, sweeps", [(6, 2, 8, 5000), (64, 8, 2, 2000)])
+def test_long_runs_do_not_drift(n, m, seed, sweeps):
+    # neither input converges, so every sweep of the budget runs.  Factors
+    # multiplied up sweep by sweep would carry rounding forward as a random
+    # walk (1.2e-13 and 1.0e-12 here); taken afresh from U each sweep, they
+    # stay at rounding
+    u = haar_random_unitary(RandomSpec(n, seed))
+    dec = decompose(u, m, IterationConfig(max_iter=sweeps, psi_tol=1e-300))
+    assert dec.iterations_used == sweeps
+    report = verify_decomposition(u, dec, 1e-14 * n)
+    for key in ("reconstruction", "d_unitarity", "x_unitarity", "z_unitarity"):
+        assert getattr(report, key) <= 1e-14 * n, key
 
 
 def test_psi_trace_non_increasing():
@@ -612,11 +638,11 @@ def test_singular_sums_take_the_svd_route_exactly(monkeypatch, signs):
     sweeps = []
     for floor in (m, 10**9):
         monkeypatch.setattr(engine, "_PAIRED_POLAR_MIN_M", floor)
-        sweeps.append(_sweep(u, p, PolarConfig()))
+        sweeps.append(sweep_from(u, p))
     for a, b in zip(*sweeps):
         assert np.array_equal(a, b)
-    for sums in (row_sums(u, p), col_sums(u, p)):
-        for adjoint in (False, True):
-            factors, singular = engine._line_sum_polars(sums, p, PolarConfig(), adjoint=adjoint)
-            expected, expected_singular = polar_unitary_batch(sums)
-            assert np.array_equal(factors, expected) and np.array_equal(singular, expected_singular)
+    # the column step's G = U^H Q holds the adjoints of the column sums
+    for sums in (row_sums(u, p), _adjoints(col_sums(u, p))):
+        factors, singular = engine._line_sum_polars(sums, p, PolarConfig())
+        expected, expected_singular = polar_unitary_batch(sums)
+        assert np.array_equal(factors, expected) and np.array_equal(singular, expected_singular)

@@ -190,11 +190,6 @@ def test_conjugate_worked_example(u6):
         assert np.linalg.norm(mat.conj().T @ mat - np.eye(6)) < 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a 1e-7 reconstruction needs line sums below the scale the psi "
-    "stopping rule can certify in double precision (~sqrt(n^2 eps / n))",
-)
 def test_conjugate_reconstruction_below_1e7(u6):
     conj = conjugate_decompose(u6, 2, IterationConfig(max_iter=30_000, psi_tol=1e-15))
     mid = block_diag(np.eye(2), conj.A)
