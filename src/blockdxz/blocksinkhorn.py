@@ -4,7 +4,8 @@ Starting from X_0 = U, each sweep left-multiplies by a block-diagonal L_t
 built from inverse polar factors of the block row sums, then right-multiplies
 by a block-diagonal R_t built the same way from the block column sums, driving
 every block line sum of X_t toward the identity.  Progress is monitored by
-psi(M) = n^2 - |Btr(M)|^2, which is zero exactly on the unit-line-sum group.
+psi(M) = n^2 - |Btr(M)|^2, zero exactly on the unit-line-sum group up to a
+global phase and blind below ~eps n^2, so decompose also checks the line sums.
 
 The sweep never forms X_t.  Since polar(A B) = polar(A) B for unitary B, the
 products of the L_t and R_t are X_t = diag(Q)^H U diag(V) with (r, m, m)
@@ -42,6 +43,7 @@ __all__ = [
     "block_trace",
     "psi",
     "decompose",
+    "line_sum_tolerance",
     "verify_decomposition",
 ]
 
@@ -65,6 +67,12 @@ class IterationConfig:
             raise ValueError("max_iter must be >= 1")
         if not (math.isfinite(self.psi_tol) and self.psi_tol > 0):
             raise ValueError("psi_tol must be positive and finite")
+
+
+def line_sum_tolerance(psi_tol: float, n: int) -> float:
+    """How close to I a converged X's line sums are, for decompose's stop test and
+    the CLI's verification: they scale like sqrt(psi/n), floored above rounding."""
+    return max(1e-8, 10.0 * psi_tol, 10.0 * math.sqrt(psi_tol / n))
 
 
 @dataclass
@@ -140,17 +148,23 @@ def _line_sum_polars(sums: np.ndarray, p: BlockPartition, cfg: PolarConfig):
     return polar_unitary_batch(sums, cfg)
 
 
+def _certified(q: np.ndarray, w: np.ndarray, psi_t: float, psi_tol: float, tol: float) -> bool:
+    """psi_t <= psi_tol and the stacked row sums Q_j^H W_j of X_t within tol of I: O(r m^3)."""
+    return psi_t <= psi_tol and float(np.linalg.norm(_adjoints(q) @ w - np.eye(q.shape[-1]))) <= tol
+
+
 def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecomposition:
-    """Iterate the bilateral sweep from X_0 = U until psi <= cfg.psi_tol or
+    """Iterate the bilateral sweep from X_0 = U until X_t is certified or
     cfg.max_iter sweeps.  The state is X_t = diag(Q)^H U diag(V) with V_1 = I,
     so D = diag(Q), Z = diag(V)^H, and X is formed once, on return.
 
+    Certified (converged) means psi <= cfg.psi_tol and the stacked row sums
+    Q_j^H W_j of X_t within line_sum_tolerance(psi_tol, n) of I, which for
+    unitary X bounds the column sums too: ||E^H X - E^H|| = ||E - X E||.  Q
+    starts as the phase Btr/|Btr| of U (1 when Btr = 0), which psi cannot see.
     Non-convergence is reported, not raised: the decomposition is returned
     with converged=False and still reconstructs U exactly.  U is only read;
-    no factor shares memory with it.  psi is blind to a global phase, which
-    a sweep's row step removes; a run that stops before its first sweep puts
-    the phase Btr/|Btr| of U into D instead (1 when Btr = 0), so that X's line
-    sums are I.
+    no factor shares memory with it.
     """
     u = as_matrix(u, copy=False)
     if u.shape[0] != u.shape[1]:
@@ -164,27 +178,27 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
         # single-block case: D = U does everything
         eye = np.eye(n, dtype=complex)
         return DxzDecomposition(u.copy(), eye, eye.copy(), p, [(0, psi(eye, p))], True, 0)
-    q = v = np.tile(np.eye(m, dtype=complex), (p.r, 1, 1))
+    v = np.tile(np.eye(m, dtype=complex), (p.r, 1, 1))
     w = (u @ v.reshape(n, m)).reshape(v.shape)
     # Btr of X_t is the sum of the traces of its row sums Q_j^H W_j, read off
     # the W = U V that the next sweep starts from
-    btr = np.vdot(q, w)
+    btr = np.vdot(v, w)
     trace = [(0, float(n * n - abs(btr) ** 2))]
+    q = v * (btr / abs(btr) if btr else 1.0)
+    tol = line_sum_tolerance(cfg.psi_tol, n)
     t = 0
-    while trace[-1][1] > cfg.psi_tol and t < cfg.max_iter:
+    while not (converged := _certified(q, w, trace[-1][1], cfg.psi_tol, tol)) and t < cfg.max_iter:
         t += 1
         q, v = _sweep(u, w, q, v, p, cfg.polar)
         w = (u @ v.reshape(n, m)).reshape(v.shape)
         trace.append((t, float(n * n - abs(np.vdot(q, w)) ** 2)))
-    if t == 0:
-        q = q * (btr / abs(btr) if btr else 1.0)
     return DxzDecomposition(
         D=block_diag(q),
         X=_apply_right(_apply_left(_adjoints(q), u, p), v, p),
         Z=block_diag(_adjoints(v)),
         partition=p,
         psi_trace=trace,
-        converged=trace[-1][1] <= cfg.psi_tol,
+        converged=converged,
         iterations_used=t,
     )
 

@@ -17,12 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocksinkhorn import (
-    DxzDecomposition,
-    IterationConfig,
-    decompose,
-    verify_decomposition,
-)
+from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, line_sum_tolerance, verify_decomposition
 from .matcore import BlockPartition, haar_random_unitary, load_matrix, save_matrix, RandomSpec
 from .permdecomp import Permutation, perm_dxz
 from .polar import PolarConfig
@@ -80,14 +75,10 @@ def _iteration_config(args) -> IterationConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _decompose(args, u: np.ndarray) -> DxzDecomposition:
+def _decompose(args, u: np.ndarray) -> tuple[IterationConfig, DxzDecomposition]:
     _partition(u.shape[0], args.m)
-    return _run_on(args.input, decompose, u, args.m, _iteration_config(args))
-
-
-def _load_and_decompose(args) -> tuple[np.ndarray, DxzDecomposition]:
-    u = _load_square(args.input)
-    return u, _decompose(args, u)
+    cfg = _iteration_config(args)
+    return cfg, _run_on(args.input, decompose, u, args.m, cfg)
 
 
 def _save_factors(outdir, **factors) -> Path:
@@ -115,18 +106,10 @@ def _print_matrix(mat: np.ndarray, label: str):
         print("  " + "  ".join(_format_complex(v) for v in row))
 
 
-def _verify_tolerance(dec: DxzDecomposition) -> float:
-    # line-sum residuals scale like sqrt(psi/n), so a pure multiple of the
-    # final psi would be too tight right after convergence
-    psi_final = max(dec.psi_trace[-1][1], 0.0)
-    return max(1e-8, 10.0 * psi_final, 10.0 * (psi_final / dec.partition.n) ** 0.5)
-
-
-def _write_report(args, outdir: Path, digest: str, p: BlockPartition, residuals: dict, converged: bool,
-                  started: float, psi_trace=()) -> None:
+def _write_report(args, cfg: IterationConfig, outdir: Path, digest: str, p: BlockPartition, residuals: dict,
+                  converged: bool, started: float, psi_trace=()) -> None:
     """Write <outdir>/report.json, and print it under --json.  digest is the
     input's, taken on loading: a saved factor may have overwritten it since."""
-    cfg = _iteration_config(args)
     text = json.dumps({
         "command": " ".join(args.argv),
         "input_digest": digest,
@@ -146,10 +129,11 @@ def cmd_decompose(args) -> int:
     started = time.perf_counter()
     u = _load_square(args.input)
     digest = _digest(args.input)
-    dec = _decompose(args, u)
+    cfg, dec = _decompose(args, u)
     outdir = _save_factors(args.output, D=dec.D, X=dec.X, Z=dec.Z)
-    verification = verify_decomposition(u, dec, _verify_tolerance(dec)).as_dict()
-    _write_report(args, outdir, digest, dec.partition, verification, dec.converged, started, dec.psi_trace)
+    # the tolerance decompose certified a converged run at, so converged implies passed
+    verification = verify_decomposition(u, dec, line_sum_tolerance(cfg.psi_tol, dec.partition.n)).as_dict()
+    _write_report(args, cfg, outdir, digest, dec.partition, verification, dec.converged, started, dec.psi_trace)
     if not args.json:
         final_t, final_psi = dec.psi_trace[-1]
         print(f"converged: {dec.converged} after {final_t} iterations, psi = {final_psi:.3e}")
@@ -158,7 +142,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _, dec = _load_and_decompose(args)
+    _, dec = _decompose(args, _load_square(args.input))
     print(f"  t  psi (m={args.m})")
     for t, value in dec.psi_trace:
         print(f"{t:3d}  {value:.3f}")
@@ -209,7 +193,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_biunitary(args) -> int:
-    u, dec = _load_and_decompose(args)
+    u = _load_square(args.input)
+    _, dec = _decompose(args, u)
     v, w = normalize_biunitary(*biunitary_from_dxz(dec))
     residual = float(np.linalg.norm(u @ v.stacked - w.stacked))
     _print_matrix(v.stacked, "V =")
@@ -225,14 +210,15 @@ def cmd_conjugate(args) -> int:
     p = _partition(u.shape[0], args.m)
     if p.q == 0:
         raise _UsageError(f"conjugate needs m < n (the core A would be 0 x 0), got m = n = {p.n}")
-    conj = _run_on(args.input, conjugate_decompose, u, args.m, _iteration_config(args))
+    cfg = _iteration_config(args)
+    conj = _run_on(args.input, conjugate_decompose, u, args.m, cfg)
     outdir = _save_factors(args.output, C=conj.C, A=conj.A, Y=conj.Y)
     residuals = {
         "reconstruction": conj.reconstruction,
         "c_circulant": bool(is_block_circulant(conj.C, p)),
         "y_circulant": bool(is_block_circulant(conj.Y, p)),
     }
-    _write_report(args, outdir, digest, p, residuals, conj.converged, started)
+    _write_report(args, cfg, outdir, digest, p, residuals, conj.converged, started)
     if not args.json:
         print(f"converged: {conj.converged} after {conj.iterations_used} iterations")
         print(f"reconstruction residual: {residuals['reconstruction']:.3e}")

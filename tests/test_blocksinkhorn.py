@@ -346,6 +346,26 @@ def test_long_runs_do_not_drift(n, m, seed, sweeps):
         assert getattr(report, key) <= 1e-14 * n, key
 
 
+@pytest.mark.parametrize("psi_tol", [1e-3, 1e-6, 1e-12, 1e-14, 1e-30])
+def test_converged_runs_pass_verification_at_their_tolerance(psi_tol):
+    # psi cancels to a floor of ~eps n^2, below which it crosses zero by
+    # rounding; converged must still mean line sums within the run's
+    # tolerance, so every converged run passes verification at it
+    converged = 0
+    for seed in range(5000, 5010):
+        n = int(np.random.default_rng(seed).integers(4, 17))
+        divisors = [m for m in range(1, n) if n % m == 0]
+        m = divisors[seed % len(divisors)]
+        u = haar_random_unitary(RandomSpec(n, seed))
+        dec = decompose(u, m, IterationConfig(max_iter=3000, psi_tol=psi_tol))
+        if not dec.converged:
+            continue
+        converged += 1
+        assert line_sum_residual(dec.X, dec.partition) <= max(1e-8, 10 * math.sqrt(psi_tol / n)), (seed, n, m)
+        assert verify_decomposition(u, dec, engine.line_sum_tolerance(psi_tol, n)).passed, (seed, n, m)
+    assert converged >= 5
+
+
 def test_psi_trace_non_increasing():
     for seed in range(10):
         u = haar_random_unitary(RandomSpec(8, 31 + seed))

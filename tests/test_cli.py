@@ -108,6 +108,21 @@ def test_decompose_round_trips_through_verify(tmp_path, u6_file, capsys):
     assert report["residuals"]["passed"] is True
 
 
+@pytest.mark.parametrize("seed, code", [(2, EXIT_OK), (1, EXIT_NOT_CONVERGED)])
+def test_report_verdict_matches_the_exit_code_below_the_psi_floor(tmp_path, capsys, seed, code):
+    # seed 2 reaches psi's rounding floor, where psi alone would stop with line
+    # sums at 4e-8; seed 1 stays at psi 0.29, line sums 0.16, for the budget
+    path = str(tmp_path / "u.json")
+    assert main(["random", "--n", "6", "--seed", str(seed), "-o", path]) == EXIT_OK
+    outdir = tmp_path / "out"
+    argv = ["decompose", path, "--m", "2", "--psi-tol", "1e-30", "--max-iter", "5000", "-o", str(outdir)]
+    assert main(argv) == code
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["converged"] is (code == EXIT_OK)
+    assert report["residuals"]["passed"] is (code == EXIT_OK)
+    assert report["residuals"]["tol"] == 1e-8
+
+
 def test_verify_json_output(tmp_path, u6_file, capsys):
     outdir = tmp_path / "out"
     main(["decompose", u6_file, "--m", "3", "-o", str(outdir)])
