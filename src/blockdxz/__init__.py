@@ -11,10 +11,8 @@ from .matcore import (
     BlockPartition,
     RandomSpec,
     as_matrix,
-    block,
     block_col_sum,
     block_row_sum,
-    dft_matrix,
     haar_random_unitary,
     load_matrix,
     save_matrix,
@@ -49,7 +47,6 @@ from .structure import (
 )
 from .permdecomp import (
     Permutation,
-    block_degree_matrix,
     complex_perm_dxz,
     edge_color,
     perm_dxz,

@@ -96,10 +96,7 @@ class DxzDecomposition:
 def block_trace(mat, p: BlockPartition) -> complex:
     """Sum of the traces of all r^2 blocks: entries whose row and column agree
     within their blocks."""
-    return _block_trace(as_partitioned(mat, p), p)
-
-
-def _block_trace(x: np.ndarray, p: BlockPartition) -> complex:
+    x = as_partitioned(mat, p)
     # [j, k, a] = x[jm + a, km + a]; numpy's pairwise sum keeps psi's
     # cancellation within 2 eps n^2 of its exact value at n = 256, which the
     # running sum of an einsum over the (r, r, m, m) grid misses
@@ -108,12 +105,9 @@ def _block_trace(x: np.ndarray, p: BlockPartition) -> complex:
 
 def psi(mat, p: BlockPartition) -> float:
     """Progress monitor n^2 - |Btr|^2; zero iff a unitary matrix has all block
-    line sums equal to I (up to a global phase)."""
-    return _psi(as_partitioned(mat, p), p)
-
-
-def _psi(x: np.ndarray, p: BlockPartition) -> float:
-    return float(p.n**2 - abs(_block_trace(x, p)) ** 2)
+    line sums equal to I (up to a global phase).  mat is read in place, not
+    copied."""
+    return float(p.n**2 - abs(block_trace(mat, p)) ** 2)
 
 
 def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockPartition, cfg: PolarConfig):
@@ -255,6 +249,6 @@ def verify_decomposition(u, dec: DxzDecomposition, tol: float) -> VerificationRe
         "z_off_diagonal": z_off,
         "z_leading_block": float(np.linalg.norm(z[: p.m, : p.m] - np.eye(p.m))),
         "max_line_sum": line_sum_residual(x, p),
-        "psi_x": _psi(x, p),
+        "psi_x": psi(x, p),
     }
     return VerificationReport(**residuals, tol=tol, passed=all(v <= tol for v in residuals.values()))

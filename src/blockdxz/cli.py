@@ -42,15 +42,9 @@ def _digest(path) -> str:
     return digest.hexdigest()
 
 
-def _load_square(path) -> np.ndarray:
-    mat = load_matrix(path)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{path}: matrix is not square")
-    return mat
-
-
 def _run_on(path, run, *args):
-    """run(*args), naming the file in a ValueError: unitarity is checked by decompose."""
+    """run(*args), naming the file in a ValueError: squareness and unitarity
+    are checked by decompose and conjugate_decompose."""
     try:
         return run(*args)
     except ValueError as exc:
@@ -127,12 +121,14 @@ def _write_report(args, cfg: IterationConfig, outdir: Path, digest: str, p: Bloc
 
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
-    u = _load_square(args.input)
+    u = load_matrix(args.input)
     digest = _digest(args.input)
     cfg, dec = _decompose(args, u)
     outdir = _save_factors(args.output, D=dec.D, X=dec.X, Z=dec.Z)
-    # the tolerance decompose certified a converged run at, so converged implies passed
+    # the tolerance decompose certified a converged run at, so converged implies passed;
+    # an unconverged run fails, however close its factors come
     verification = verify_decomposition(u, dec, line_sum_tolerance(cfg.psi_tol, dec.partition.n)).as_dict()
+    verification["passed"] = verification["passed"] and dec.converged
     _write_report(args, cfg, outdir, digest, dec.partition, verification, dec.converged, started, dec.psi_trace)
     if not args.json:
         final_t, final_psi = dec.psi_trace[-1]
@@ -142,7 +138,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _, dec = _decompose(args, _load_square(args.input))
+    _, dec = _decompose(args, load_matrix(args.input))
     print(f"  t  psi (m={args.m})")
     for t, value in dec.psi_trace:
         print(f"{t:3d}  {value:.3f}")
@@ -193,7 +189,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_biunitary(args) -> int:
-    u = _load_square(args.input)
+    u = load_matrix(args.input)
     _, dec = _decompose(args, u)
     v, w = normalize_biunitary(*biunitary_from_dxz(dec))
     residual = float(np.linalg.norm(u @ v.stacked - w.stacked))
@@ -205,7 +201,7 @@ def cmd_biunitary(args) -> int:
 
 def cmd_conjugate(args) -> int:
     started = time.perf_counter()
-    u = _load_square(args.input)
+    u = load_matrix(args.input)
     digest = _digest(args.input)
     p = _partition(u.shape[0], args.m)
     if p.q == 0:

@@ -21,7 +21,6 @@ __all__ = [
     "RandomSpec",
     "as_matrix",
     "as_partitioned",
-    "block",
     "block_row_sum",
     "block_col_sum",
     "block_grid",
@@ -33,7 +32,6 @@ __all__ = [
     "split_block_diagonal",
     "block_diag",
     "unitarity_residual",
-    "dft_matrix",
     "haar_random_unitary",
     "save_matrix",
     "load_matrix",
@@ -82,8 +80,9 @@ def as_matrix(values, copy: bool = True) -> np.ndarray:
 
 
 def as_partitioned(a, p: BlockPartition) -> np.ndarray:
-    """as_matrix, also requiring the n x n shape of the partition."""
-    a = as_matrix(a)
+    """as_matrix(a, copy=False), also requiring the n x n shape of the
+    partition; every caller only reads the result."""
+    a = as_matrix(a, copy=False)
     if a.shape != (p.n, p.n):
         raise ValueError(f"matrix shape {a.shape} does not match partition n={p.n}")
     return a
@@ -189,14 +188,6 @@ def _apply_right(x: np.ndarray, blocks: np.ndarray, p: BlockPartition) -> np.nda
     return y.transpose(1, 0, 2).reshape(p.n, p.n)
 
 
-def block(a, p: BlockPartition, j: int, k: int) -> np.ndarray:
-    """The m x m block at block row j, block column k (1-based)."""
-    a = as_partitioned(a, p)
-    if not (1 <= j <= p.r and 1 <= k <= p.r):
-        raise ValueError(f"block index ({j},{k}) out of range 1..{p.r}")
-    return block_grid(a, p)[j - 1, k - 1].copy()
-
-
 def block_row_sum(a, p: BlockPartition, j: int) -> np.ndarray:
     """Sum of the r blocks in block row j (1-based)."""
     a = as_partitioned(a, p)
@@ -211,16 +202,6 @@ def block_col_sum(a, p: BlockPartition, k: int) -> np.ndarray:
     if not 1 <= k <= p.r:
         raise ValueError(f"block column {k} out of range 1..{p.r}")
     return col_sums(a, p)[k - 1]
-
-
-def dft_matrix(r: int) -> np.ndarray:
-    """Unitary r x r DFT: entry (j,k) = exp(-2*pi*i*j*k/r) / sqrt(r), 0-based."""
-    if r < 1:
-        raise ValueError("dft_matrix needs r >= 1")
-    idx = np.arange(r)
-    # reduce jk mod r first: a power omega**(jk) with exponents up to (r-1)^2
-    # loses phase accuracy as r grows
-    return np.exp(-2j * np.pi * (np.outer(idx, idx) % r) / r) / np.sqrt(r)
 
 
 def haar_random_unitary(spec: RandomSpec) -> np.ndarray:

@@ -20,7 +20,6 @@ from .matcore import BlockPartition, as_matrix
 
 __all__ = [
     "Permutation",
-    "block_degree_matrix",
     "edge_color",
     "perm_dxz",
     "complex_perm_dxz",
@@ -53,14 +52,6 @@ class Permutation:
 
     def to_matrix(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex)[np.array(self.image) - 1]
-
-
-def block_degree_matrix(perm: Permutation, m: int) -> np.ndarray:
-    """r x r count of ones of P per block; every line sums to m."""
-    p = BlockPartition(perm.n, m)
-    deg = np.zeros((p.r, p.r), dtype=int)
-    np.add.at(deg, (np.arange(p.n) // m, (np.array(perm.image) - 1) // m), 1)
-    return deg
 
 
 def _perfect_matching(adj: list[list[tuple[int, int]]], r: int) -> dict[int, tuple[int, int]]:

@@ -17,7 +17,7 @@ import numpy as np
 from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, psi
 from .matcore import (
     BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_grid, diag_blocks,
-    dft_matrix, line_sum_residual, off_block_norm, unitarity_residual,
+    line_sum_residual, off_block_norm, unitarity_residual,
 )
 
 __all__ = [
@@ -74,13 +74,6 @@ class BiunitaryVector:
         """The blocks as one (r*m) x m matrix."""
         return self.blocks.reshape(self.r * self.m, self.m)
 
-    @classmethod
-    def from_stacked(cls, mat, m: int) -> "BiunitaryVector":
-        mat = as_matrix(mat)
-        if mat.shape[1] != m or mat.shape[0] % m != 0:
-            raise ValueError(f"cannot split shape {mat.shape} into m={m} blocks")
-        return cls(mat.reshape(-1, m, m))
-
 
 @dataclass(frozen=True)
 class U2Parameters:
@@ -108,14 +101,19 @@ class ConjugateDecomposition:
 
 
 def fourier_transform(p: BlockPartition) -> np.ndarray:
-    """T = F_r (x) I_m, the change of basis that block-diagonalizes XU members."""
-    return np.kron(dft_matrix(p.r), np.eye(p.m, dtype=complex))
+    """T = F_r (x) I_m, the change of basis that block-diagonalizes XU members,
+    with F_r the unitary r x r DFT: entry (j, k) = exp(-2 pi i j k / r) / sqrt(r), 0-based."""
+    idx = np.arange(p.r)
+    # reduce jk mod r first: a power omega**(jk) with exponents up to (r-1)^2
+    # loses phase accuracy as r grows
+    f = np.exp(-2j * np.pi * (np.outer(idx, idx) % p.r) / p.r) / np.sqrt(p.r)
+    return np.kron(f, np.eye(p.m, dtype=complex))
 
 
 def _fourier_conjugate(a: np.ndarray, p: BlockPartition, inverse: bool = False) -> np.ndarray:
     """T a T^H, or T^H a T when inverse, for T = fourier_transform(p), as
     orthonormal FFTs along the two block axes of the (r, m, r, m) view: numpy's
-    forward FFT has dft_matrix's sign, exp(-2 pi i j k / r)."""
+    forward FFT has F_r's sign, exp(-2 pi i j k / r)."""
     left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
     grid = a.reshape(p.r, p.m, p.r, p.m)
     return right(left(grid, axis=0, norm="ortho"), axis=2, norm="ortho").reshape(p.n, p.n)

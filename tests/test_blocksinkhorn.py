@@ -11,7 +11,6 @@ from blockdxz import (
     Permutation,
     PolarConfig,
     RandomSpec,
-    block,
     block_col_sum,
     block_row_sum,
     block_trace,
@@ -24,7 +23,7 @@ from blockdxz import (
 )
 import blockdxz.blocksinkhorn as engine
 from blockdxz.matcore import (
-    _adjoints, _apply_left, _apply_right, block_diag, col_sums, diag_blocks, line_sum_residual, row_sums,
+    _adjoints, _apply_left, _apply_right, block_diag, block_grid, col_sums, diag_blocks, line_sum_residual, row_sums,
     unitarity_residual,
 )
 from blockdxz.polar import polar_unitary_batch
@@ -193,7 +192,7 @@ def reference_decompose(u, m, cfg):
     eye_n, eye_m = np.eye(p.n, dtype=complex), np.eye(p.m)
 
     def ref_psi(x):
-        btr = sum(np.trace(block(x, p, j, k)) for j in range(1, p.r + 1) for k in range(1, p.r + 1))
+        btr = sum(np.trace(b) for row in block_grid(x, p) for b in row)
         return p.n**2 - abs(btr) ** 2
 
     def block_diagonal(blocks):

@@ -123,6 +123,20 @@ def test_report_verdict_matches_the_exit_code_below_the_psi_floor(tmp_path, caps
     assert report["residuals"]["tol"] == 1e-8
 
 
+@pytest.mark.parametrize("seed", range(5000, 5030))
+def test_report_passes_exactly_when_the_run_converges(tmp_path, capsys, seed):
+    # an unconverged run's line sums can lie within line_sum_tolerance (seed
+    # 5013: 3.2e-4 against 3.8e-3 after 200 sweeps); it must still not pass
+    n = int(np.random.default_rng(seed).integers(4, 17))
+    divisors = [m for m in range(1, n) if n % m == 0]
+    path, outdir = str(tmp_path / "u.json"), tmp_path / "out"
+    assert main(["random", "--n", str(n), "--seed", str(seed), "-o", path]) == EXIT_OK
+    code = main(["decompose", path, "--m", str(divisors[seed % len(divisors)]), "-o", str(outdir)])
+    assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["converged"] is report["residuals"]["passed"] is (code == EXIT_OK)
+
+
 def test_verify_json_output(tmp_path, u6_file, capsys):
     outdir = tmp_path / "out"
     main(["decompose", u6_file, "--m", "3", "-o", str(outdir)])
@@ -425,6 +439,19 @@ def test_non_unitary_input_is_a_data_error_after_the_block_size(tmp_path, capsys
     assert err.startswith(f"error: {path}:") and "not unitary" in err
     # the block size is checked first, so a bad --m is a usage error
     assert main([*argv, "--m", "4"]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
+def test_non_square_input_is_a_data_error(tmp_path, capsys, command):
+    path = tmp_path / "wide.json"
+    save_matrix(path, np.eye(6)[:, :4])
+    argv = [command, str(path), "--m", "2"]
+    if command in ("decompose", "conjugate"):
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "square" in err
     assert not (tmp_path / "out").exists()
 
 

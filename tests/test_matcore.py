@@ -11,10 +11,8 @@ from blockdxz import (
     Permutation,
     RandomSpec,
     as_matrix,
-    block,
     block_col_sum,
     block_row_sum,
-    dft_matrix,
     fourier_transform,
     haar_random_unitary,
     load_matrix,
@@ -77,42 +75,13 @@ def test_as_matrix_without_copy():
             assert np.array_equal(b, np.asarray(values))
 
 
-def test_block_identity():
-    p = BlockPartition(6, 2)
-    assert np.array_equal(block(np.eye(6), p, 1, 1), np.eye(2))
-    assert np.array_equal(block(np.eye(6), p, 1, 2), np.zeros((2, 2)))
-
-
-def test_block_of_worked_permutation():
-    # the 1 of row 1 sits in column 5: intra position (1, 1) of block (1, 3)
-    mat = Permutation(SIGMA_IMAGE).to_matrix()
-    p = BlockPartition(6, 2)
-    assert np.array_equal(block(mat, p, 1, 3), np.array([[1, 0], [0, 0]]))
-
-
 def test_block_index_out_of_range():
     p = BlockPartition(6, 2)
-    with pytest.raises(ValueError):
-        block(np.eye(6), p, 0, 1)
-    with pytest.raises(ValueError):
-        block(np.eye(6), p, 1, 4)
     for j in (0, 4):
         with pytest.raises(ValueError, match="block row"):
             block_row_sum(np.eye(6), p, j)
         with pytest.raises(ValueError, match="block column"):
             block_col_sum(np.eye(6), p, j)
-
-
-def test_block_reassembly_exact():
-    rng = np.random.default_rng(5)
-    for n, m in [(6, 2), (6, 3), (8, 4), (12, 3)]:
-        p = BlockPartition(n, m)
-        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rebuilt = np.zeros_like(mat)
-        for j in range(1, p.r + 1):
-            for k in range(1, p.r + 1):
-                rebuilt[(j - 1) * m : j * m, (k - 1) * m : k * m] = block(mat, p, j, k)
-        assert np.array_equal(rebuilt, mat)
 
 
 def test_block_row_sum_of_perm_core():
@@ -134,18 +103,23 @@ def test_block_row_sum_scalar_case(u6):
     assert abs(total[0, 0] - (-8 - 2j) / 12) < 1e-15
 
 
+def dft(r):
+    """F_r, the unitary r x r DFT: T for blocks of side 1."""
+    return fourier_transform(BlockPartition(r, 1))
+
+
 def test_dft_examples():
-    assert np.array_equal(dft_matrix(1), np.array([[1.0]]))
-    assert np.linalg.norm(dft_matrix(2) - HADAMARD) < 1e-15
-    f3 = dft_matrix(3)
+    assert np.array_equal(dft(1), np.array([[1.0]]))
+    assert np.linalg.norm(dft(2) - HADAMARD) < 1e-15
+    f3 = dft(3)
     assert np.linalg.norm(f3.conj().T @ f3 - np.eye(3)) < 1e-14
     with pytest.raises(ValueError):
-        dft_matrix(0)
+        dft(0)
 
 
 @pytest.mark.parametrize("r", [64, 512])
 def test_dft_phases_stay_accurate_at_large_r(r):
-    f = dft_matrix(r)
+    f = dft(r)
     assert np.linalg.norm(f.conj().T @ f - np.eye(r)) <= 1e-13
     assert np.abs(f - np.fft.fft(np.eye(r), norm="ortho")).max() <= 1e-14
 
@@ -162,7 +136,7 @@ def test_kronecker_examples():
 @pytest.mark.parametrize("r,m", [(2, 2), (4, 4), (8, 8), (4, 16)])
 def test_fourier_kronecker_unitary(r, m):
     t = fourier_transform(BlockPartition(r * m, m))
-    assert np.array_equal(t, np.kron(dft_matrix(r), np.eye(m)))
+    assert np.array_equal(t, np.kron(dft(r), np.eye(m)))
     assert unitarity_residual(t) <= 1e-12
 
 

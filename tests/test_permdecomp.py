@@ -7,7 +7,6 @@ from blockdxz import (
     BlockPartition,
     Permutation,
     RandomSpec,
-    block_degree_matrix,
     complex_perm_dxz,
     edge_color,
     haar_random_unitary,
@@ -38,26 +37,6 @@ def test_permutation_validation():
     assert perm.n == 6
     mat = perm.to_matrix()
     assert mat[0, 4] == 1.0 and mat.sum() == 6.0
-
-
-def test_block_degree_identity():
-    deg = block_degree_matrix(Permutation((1, 2, 3, 4, 5, 6)), 2)
-    assert np.array_equal(deg, 2 * np.eye(3, dtype=int))
-
-
-def test_block_degree_worked_example():
-    deg = block_degree_matrix(Permutation(SIGMA_IMAGE), 2)
-    assert np.array_equal(deg, np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]]))
-
-
-def test_block_degree_line_sums():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        image = tuple(int(v) + 1 for v in rng.permutation(12))
-        for m in (2, 3, 4, 6):
-            deg = block_degree_matrix(Permutation(image), m)
-            assert (deg.sum(axis=0) == m).all()
-            assert (deg.sum(axis=1) == m).all()
 
 
 def test_edge_color_identity():

@@ -257,9 +257,7 @@ def test_biunitary_vector_validation():
     for blocks in (not_unitary, mixed_size, non_square, non_finite, ()):
         with pytest.raises(ValueError):
             BiunitaryVector(blocks)
-    with pytest.raises(ValueError, match="cannot split"):
-        BiunitaryVector.from_stacked(np.eye(3), 2)
-    v = BiunitaryVector.from_stacked(np.vstack([np.eye(2)] * 3), 2)
+    v = BiunitaryVector([np.eye(2)] * 3)
     assert v.r == 3 and v.m == 2
     assert np.linalg.norm(v.stacked.conj().T @ v.stacked - 3 * np.eye(2)) < 1e-12
 
