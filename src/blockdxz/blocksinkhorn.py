@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (
-    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, line_sum_residual,
-    split_block_diagonal, unitarity_residual,
+    _UNITARY_INPUT_TOL, BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag,
+    line_sum_residual, split_block_diagonal, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch, polar_unitary_pair
 
@@ -47,7 +47,6 @@ __all__ = [
     "verify_decomposition",
 ]
 
-_UNITARY_INPUT_TOL = 1e-8
 # block side from which an r = 2 sweep takes polar_unitary_pair, one SVD per
 # line-sum step instead of two.  Measured per sweep with single-threaded
 # OpenBLAS: 0.79x the SVD route's time from m = 24 on, 0.9-1.2x at m = 16-20,
@@ -110,7 +109,7 @@ def psi(mat, p: BlockPartition) -> float:
     return float(p.n**2 - abs(block_trace(mat, p)) ** 2)
 
 
-def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockPartition, cfg: PolarConfig):
+def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockPartition):
     """One bilateral sweep on X = diag(Q)^H U diag(V), given w = U V, with
     Q, V and w as (r, m, m) stacks; returns the next Q and V.
     Block row sum j of X is Q_j^H W_j, so the row step sets Q_j = polar(W_j);
@@ -118,28 +117,28 @@ def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockP
     step sets V_k = polar(G_k) polar(G_1)^H, which keeps V_1 = I.  A singular
     line sum keeps its previous Q_j or V_k, as the identity step of the
     dense sweep does."""
-    q_next, singular = _line_sum_polars(w, p, cfg)
+    q_next, singular = _line_sum_polars(w, p)
     q_next[singular] = q[singular]
     # G = conj(U^T conj(Q)): matmul reads U transposed in place, so a sweep
     # streams U alone.  With a conjugated copy of U beside it, the two no
     # longer fit a 2 MB L2 cache at n = 256: 100 -> 130 us per m = 1 sweep
     g = (u.T @ q_next.reshape(p.n, p.m).conj()).conj()
-    upsilons, singular = _line_sum_polars(g.reshape(q.shape), p, cfg)
+    upsilons, singular = _line_sum_polars(g.reshape(q.shape), p)
     v_next = upsilons @ _adjoints(upsilons[:1])
     v_next[singular] = v[singular]
     return q_next, v_next
 
 
-def _line_sum_polars(sums: np.ndarray, p: BlockPartition, cfg: PolarConfig):
+def _line_sum_polars(sums: np.ndarray, p: BlockPartition):
     """polar_unitary_batch of the (r, m, m) stack W = U V or G = U^H Q.  With
     r = 2 both satisfy S1^H S1 + S2^H S2 = 2I (W^H W = V^H V and G^H G =
     Q^H Q), so from m = _PAIRED_POLAR_MIN_M on polar_unitary_pair takes both
-    factors from one SVD where it can."""
+    factors from one SVD where it can; both stacks are finite, as U is."""
     if p.r == 2 and p.m >= _PAIRED_POLAR_MIN_M:
-        factors = polar_unitary_pair(sums, cfg)
+        factors = polar_unitary_pair(sums)
         if factors is not None:
             return factors, np.zeros(2, dtype=bool)
-    return polar_unitary_batch(sums, cfg)
+    return polar_unitary_batch(sums)
 
 
 def _certified(q: np.ndarray, w: np.ndarray, psi_t: float, psi_tol: float, tol: float) -> bool:
@@ -155,10 +154,11 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
     Certified (converged) means psi <= cfg.psi_tol and the stacked row sums
     Q_j^H W_j of X_t within line_sum_tolerance(psi_tol, n) of I, which for
     unitary X bounds the column sums too: ||E^H X - E^H|| = ||E - X E||.  Q
-    starts as the phase Btr/|Btr| of U (1 when Btr = 0), which psi cannot see.
-    Non-convergence is reported, not raised: the decomposition is returned
-    with converged=False and still reconstructs U exactly.  U is only read;
-    no factor shares memory with it.
+    starts as the phase Btr/|Btr| of U (1 when |Btr| is zero or subnormal),
+    which psi cannot see.  Non-convergence is reported, not raised: the
+    decomposition is returned with converged=False and still reconstructs U
+    exactly.  U is only read; no factor shares memory with it.  U must be
+    finite: the polar kernel relies on it and does not check again.
     """
     u = as_matrix(u, copy=False)
     if u.shape[0] != u.shape[1]:
@@ -178,12 +178,13 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
     # the W = U V that the next sweep starts from
     btr = np.vdot(v, w)
     trace = [(0, float(n * n - abs(btr) ** 2))]
-    q = v * (btr / abs(btr) if btr else 1.0)
+    # numpy's complex division multiplies by 1/|Btr|, which overflows if |Btr| is subnormal
+    q = v * (btr / abs(btr) if abs(btr) >= np.finfo(float).tiny else 1.0)
     tol = line_sum_tolerance(cfg.psi_tol, n)
     t = 0
     while not (converged := _certified(q, w, trace[-1][1], cfg.psi_tol, tol)) and t < cfg.max_iter:
         t += 1
-        q, v = _sweep(u, w, q, v, p, cfg.polar)
+        q, v = _sweep(u, w, q, v, p)
         w = (u @ v.reshape(n, m)).reshape(v.shape)
         trace.append((t, float(n * n - abs(np.vdot(q, w)) ** 2)))
     return DxzDecomposition(

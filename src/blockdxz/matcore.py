@@ -88,6 +88,8 @@ def as_partitioned(a, p: BlockPartition) -> np.ndarray:
     return a
 
 
+# ||A^H A - I||_F up to which an input matrix or block counts as unitary
+_UNITARY_INPUT_TOL = 1e-8
 # block side from which unitarity_residual forms a^H a from real products
 _SPLIT_GRAM_MIN_N = 128
 

@@ -6,9 +6,10 @@ Newton averaging Y_{k+1} = (Y_k + (Y_k^H)^{-1}) / 2 converges (Higham 1986,
 "Computing the polar decomposition - with applications"), reached without
 iterating and batched over a stack of blocks, and the singular values of the
 same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
-its factor is its phase z/|z| (exp(i arg z) where |z| is zero, subnormal or
-overflows) and its singular value its modulus |z|, so a stack of them costs a
-few elementwise operations.
+its factor is its phase z/|z| and its singular value its modulus |z|, so a
+stack of them costs a few elementwise operations.  The one caller, the
+block-Sinkhorn sweep, passes stacks that are a finite U times a unitary, so
+polar_unitary_batch does not check for non-finite entries.
 
 Two m x m blocks S1, S2 with S1^H S1 + S2^H S2 = 2I, as the two blocks of
 U V for a unitary U with r = 2 blocks per side and block-diagonal unitary V
@@ -28,7 +29,9 @@ import numpy as np
 
 __all__ = ["PolarConfig"]
 
-_TINY = np.finfo(float).tiny
+# a block whose smallest singular value lies below this is singular and gets
+# the identity; so does every zero or subnormal 1 x 1 block, far below it
+_SING_TOL = 1e-10
 # Gram defect ||Phi^H Phi - I||_F of the paired second factor up to which one
 # Newton-Schulz step brings it to rounding: the step leaves about
 # (3/4) defect^2 < eps
@@ -37,70 +40,45 @@ _PAIR_GRAM_TOL = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class PolarConfig:
-    """Polar-kernel settings.
-
-    sing_tol: a block whose smallest singular value lies below it counts as
-    singular.  newton_iters is validated and recorded (the CLI's
-    --polar-iters writes it into report.json) but no longer changes the
-    result: the SVD factor is the Newton limit itself.
-    """
+    """Polar-kernel settings: newton_iters is validated and recorded (the
+    CLI's --polar-iters writes it into report.json) but changes no result, as
+    the SVD factor is the Newton limit itself."""
 
     newton_iters: int = 10
-    sing_tol: float = 1e-10
 
     def __post_init__(self):
         if self.newton_iters < 1:
             raise ValueError("newton_iters must be >= 1")
-        if not (math.isfinite(self.sing_tol) and self.sing_tol >= 0):
-            raise ValueError("sing_tol must be finite and non-negative")
 
 
-def polar_unitary_batch(mats: np.ndarray, cfg: PolarConfig = PolarConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary polar factors of a stack of square matrices: Phi of M = Phi P,
-    which is also Upsilon of M = Q Upsilon, so row and column sweeps share it.
+def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary polar factors of a stack of finite square matrices: Phi of
+    M = Phi P, which is also Upsilon of M = Q Upsilon, so row and column
+    sweeps share it.
 
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
-    cfg.sing_tol has no well-defined factor and gets the identity.  For
-    1 x 1 slices z the factor is the phase z/|z| and the singular value is
-    |z|, computed without an SVD, or as exp(i arg z) for a whole stack in
-    which some |z| is zero, subnormal or overflows; an exact zero gets factor
-    1 even under sing_tol = 0, as the SVD gives.  A non-finite entry raises
-    ValueError; the check runs only on the branches such a stack leads to (a
-    zero, subnormal or overflowing |z|, a failed SVD, or a singular value
-    below sing_tol or NaN), so a well-conditioned finite stack pays no scan.
+    _SING_TOL has no well-defined factor and gets the identity.  For 1 x 1
+    slices z the factor is the phase z/|z| and the singular value is |z|,
+    computed without an SVD.  Non-finite entries are not checked for.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
         raise ValueError("polar_unitary_batch needs a (count, m, m) stack")
     if mats.shape[-1] == 1:
-        z = mats[:, 0, 0]
-        mod = np.abs(z)
-        lowest = mod.min(initial=np.inf)
-        if lowest >= _TINY and mod.max(initial=0.0) < np.inf:
-            factors = z / mod
-        else:
-            _reject_non_finite(z)
-            factors = np.where(z == 0, 1, np.exp(1j * np.angle(z)))
-        singular = mod < cfg.sing_tol
-        if lowest < cfg.sing_tol:
-            factors[singular] = 1.0
-        return factors.reshape(mats.shape), singular
-    try:
-        w, svals, vh = np.linalg.svd(mats)
-    except np.linalg.LinAlgError:
-        _reject_non_finite(mats)  # LAPACK does not converge on a NaN entry
-        raise
-    lowest = svals[:, -1]
-    singular = lowest < cfg.sing_tol
+        mod = np.abs(mats)
+        singular = mod < _SING_TOL
+        factors = np.divide(mats, mod, out=np.ones_like(mats), where=~singular)
+        return factors, singular.reshape(-1)
+    w, svals, vh = np.linalg.svd(mats)
+    singular = svals[:, -1] < _SING_TOL
     factors = w @ vh
-    if not lowest.min(initial=np.inf) >= cfg.sing_tol:  # or NaN, as an inf entry gives
-        _reject_non_finite(mats)
+    if singular.any():
         factors[singular] = np.eye(mats.shape[-1])
     return factors, singular
 
 
-def polar_unitary_pair(sums: np.ndarray, cfg: PolarConfig = PolarConfig()) -> np.ndarray | None:
+def polar_unitary_pair(sums: np.ndarray) -> np.ndarray | None:
     """The unitary polar factors of a (2, m, m) stack S1, S2 with
     S1^H S1 + S2^H S2 = 2I, from one SVD; None where polar_unitary_batch
     must take them.
@@ -111,7 +89,7 @@ def polar_unitary_pair(sums: np.ndarray, cfg: PolarConfig = PolarConfig()) -> np
     holds only to rounding and to the unitarity of the matrix the sums come
     from, so Phi2 takes one Newton-Schulz step Phi2 (3I - Phi2^H Phi2) / 2.
     Returns None when a singular value (of Sigma, or a column norm of Y) is
-    not above cfg.sing_tol, or when the Gram defect ||Phi2^H Phi2 - I||_F
+    not above _SING_TOL, or when the Gram defect ||Phi2^H Phi2 - I||_F
     exceeds _PAIR_GRAM_TOL, where one step cannot clean it up to rounding;
     the SVD of each block then decides, with its identity fix-ups.  A
     returned Phi2 lies within defect / 2 of the exact polar factor of S2, to
@@ -124,7 +102,7 @@ def polar_unitary_pair(sums: np.ndarray, cfg: PolarConfig = PolarConfig()) -> np
         return None
     y = s2 @ vh.conj().T
     norms = np.linalg.norm(y, axis=0)
-    if not (svals[-1] > cfg.sing_tol and norms.min() > cfg.sing_tol):  # or NaN
+    if not (svals[-1] > _SING_TOL and norms.min() > _SING_TOL):  # or NaN
         return None
     phi2 = (y / norms) @ vh
     gram = phi2.conj().T @ phi2
@@ -133,8 +111,3 @@ def polar_unitary_pair(sums: np.ndarray, cfg: PolarConfig = PolarConfig()) -> np
         return None
     phi2 -= 0.5 * (phi2 @ gram)  # Phi2 (3I - Phi2^H Phi2) / 2
     return np.stack((w @ vh, phi2))
-
-
-def _reject_non_finite(mats: np.ndarray) -> None:
-    if not np.isfinite(mats).all():
-        raise ValueError("matrix entries must be finite")

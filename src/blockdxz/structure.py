@@ -16,8 +16,8 @@ import numpy as np
 
 from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, psi
 from .matcore import (
-    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_grid, diag_blocks,
-    line_sum_residual, off_block_norm, unitarity_residual,
+    _UNITARY_INPUT_TOL, BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_grid,
+    diag_blocks, line_sum_residual, off_block_norm, unitarity_residual,
 )
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "u2_closed_form",
 ]
 
-_BLOCK_UNITARY_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class BiunitaryVector:
@@ -57,8 +55,8 @@ class BiunitaryVector:
         blocks = np.array(self.blocks, dtype=complex)  # blocks of mixed sizes raise ValueError here
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or blocks.size == 0:
             raise ValueError(f"need a non-empty (r, m, m) stack of square blocks, got shape {blocks.shape}")
-        if not all(unitarity_residual(b) <= _BLOCK_UNITARY_TOL for b in blocks):  # NaN fails too
-            raise ValueError(f"block is not unitary within {_BLOCK_UNITARY_TOL}")
+        if not all(unitarity_residual(b) <= _UNITARY_INPUT_TOL for b in blocks):  # NaN fails too
+            raise ValueError(f"block is not unitary within {_UNITARY_INPUT_TOL}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -156,7 +154,7 @@ def core_to_xu(g, p: BlockPartition) -> np.ndarray:
     g = as_matrix(g)
     if g.shape != (p.q, p.q):
         raise ValueError(f"core shape {g.shape} does not match q={p.q}")
-    if unitarity_residual(g) > _BLOCK_UNITARY_TOL:
+    if unitarity_residual(g) > _UNITARY_INPUT_TOL:
         raise ValueError("core must be unitary")
     return _fourier_conjugate(identity_plus_core(g, p), p)
 
@@ -238,8 +236,8 @@ def xu_from_biunitary(u, v: BiunitaryVector, w: BiunitaryVector, tol: float) -> 
     u = as_partitioned(u, p)
     if v.r != w.r or v.m != w.m:
         raise ValueError("V and W must have matching block structure")
-    if unitarity_residual(u) > _BLOCK_UNITARY_TOL:
-        raise ValueError(f"U is not unitary within {_BLOCK_UNITARY_TOL}")
+    if unitarity_residual(u) > _UNITARY_INPUT_TOL:
+        raise ValueError(f"U is not unitary within {_UNITARY_INPUT_TOL}")
     if float(np.linalg.norm(v.blocks[0] - np.eye(p.m))) > tol:
         raise ValueError("V_1 must be the identity within tol")
     residual = float(np.linalg.norm(u @ v.stacked - w.stacked))
@@ -268,7 +266,7 @@ def u2_parameters(u) -> U2Parameters:
     u = as_matrix(u)
     if u.shape != (2, 2):
         raise ValueError("u2_parameters needs a 2 x 2 matrix")
-    if unitarity_residual(u) > _BLOCK_UNITARY_TOL:
+    if unitarity_residual(u) > _UNITARY_INPUT_TOL:
         raise ValueError("input is not unitary")
 
     c = abs(u[0, 0])

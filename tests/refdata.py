@@ -9,7 +9,7 @@ polar_oracle is an independent route to the unitary polar factor.
 
 import numpy as np
 
-from blockdxz import PolarConfig
+from blockdxz.polar import _SING_TOL
 
 U6 = np.array(
     [
@@ -154,6 +154,6 @@ def polar_oracle(mat):
     mat = np.asarray(mat, dtype=complex)
     evals, vecs = np.linalg.eigh(mat.conj().T @ mat)
     evals = np.maximum(evals, 0.0)
-    if np.sqrt(evals[0]) < PolarConfig().sing_tol:
+    if np.sqrt(evals[0]) < _SING_TOL:
         return np.eye(mat.shape[0]), True
     return mat @ (vecs * evals**-0.5) @ vecs.conj().T, False

@@ -14,6 +14,7 @@ from blockdxz import (
     block_col_sum,
     block_row_sum,
     block_trace,
+    conjugate_decompose,
     core_to_xu,
     decompose,
     haar_random_unitary,
@@ -51,13 +52,13 @@ def test_psi_values(u6):
     assert abs(psi(u6, BlockPartition(6, 2)) - 32.000) < 1e-3
 
 
-def sweep_from(x, p, cfg=PolarConfig()):
+def sweep_from(x, p):
     """The engine's sweep started from X with Q = V = I, which is one sweep
     on X itself: returns the diagonal blocks Q^H of L_t and V of R_t as
     (r, m, m) stacks, and X_next = L_t X R_t."""
     x = np.asarray(x, dtype=complex)
     eye = np.tile(np.eye(p.m, dtype=complex), (p.r, 1, 1))
-    q, v = engine._sweep(x, row_sums(x, p), eye, eye, p, cfg)
+    q, v = engine._sweep(x, row_sums(x, p), eye, eye, p)
     lt = _adjoints(q)
     return lt, v, _apply_right(_apply_left(lt, x, p), v, p)
 
@@ -115,6 +116,48 @@ def test_decompose_singular_column_sum_gets_identity(m):
     z_blocks = diag_blocks(dec.Z, p)
     assert np.array_equal(z_blocks[0], np.eye(m))
     assert np.array_equal(z_blocks[2:4], np.tile(np.eye(m), (2, 1, 1)))
+
+
+def nudged_hadamard():
+    """H4 / 2 with 1e-310j added to entry (1, 3), 0-based: unitary to 0.0.
+    Its row 1 sums to exactly 1e-310j, and so does its m = 2 block trace."""
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    u = np.kron(h2, h2).astype(complex) / 2
+    u[1, 3] += 1e-310j
+    return u
+
+
+@pytest.mark.parametrize("max_iter", [1, 200])
+def test_decompose_subnormal_line_sum_keeps_unit_phases(max_iter):
+    # a subnormal modulus lies below the singular threshold, so the row keeps
+    # its previous phase instead of dividing by |z|
+    u = nudged_hadamard()
+    assert u[1].sum() == 1e-310j
+    dec = decompose(u, 1, IterationConfig(max_iter=max_iter))
+    for factor in (dec.D, dec.Z):
+        assert np.abs(np.abs(np.diag(factor)) - 1).max() <= 1e-15
+    assert verify_decomposition(u, dec, 1.0).reconstruction <= 1e-15
+
+
+@pytest.mark.parametrize("max_iter", [1, 200])
+def test_decompose_subnormal_block_trace_starts_at_phase_one(max_iter):
+    # Btr / |Btr| would overflow into NaN, which no sweep may factor.  The
+    # second block row sums to zero, so D keeps the starting phase 1 there
+    u = nudged_hadamard()
+    assert block_trace(u, BlockPartition(4, 2)) == 1e-310j
+    dec = decompose(u, 2, IterationConfig(max_iter=max_iter))
+    assert np.array_equal(diag_blocks(dec.D, BlockPartition(4, 2))[1], np.eye(2))
+    assert verify_decomposition(u, dec, 1.0).reconstruction <= 1e-14
+    assert unitarity_residual(dec.D) <= 1e-14 and unitarity_residual(dec.Z) <= 1e-14
+
+
+def test_newton_iters_changes_nothing(u6):
+    default = decompose(u6, 2)
+    for iters in (1, 2, 10):
+        dec = decompose(u6, 2, IterationConfig(polar=PolarConfig(newton_iters=iters)))
+        for a, b in ((dec.D, default.D), (dec.X, default.X), (dec.Z, default.Z)):
+            assert np.array_equal(a, b)
+        assert dec.psi_trace == default.psi_trace
 
 
 def untwisted_column_sweep(y, p):
@@ -312,6 +355,19 @@ def test_decompose_rejects_bad_input(u6):
         decompose(np.eye(4)[:2], 1)
     with pytest.raises(ValueError):
         decompose(u6, 4)
+
+
+@pytest.mark.parametrize("run", [decompose, conjugate_decompose])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_input_is_rejected_before_any_sweep(monkeypatch, u6, run, bad):
+    # the polar kernel relies on finite line sums and no longer checks them
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran on a non-finite input")
+
+    monkeypatch.setattr(engine, "_sweep", no_sweep)
+    u6[2, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        run(u6, 2)
 
 
 def test_scalar_case_keeps_unit_modulus_factors():
@@ -662,6 +718,6 @@ def test_singular_sums_take_the_svd_route_exactly(monkeypatch, signs):
         assert np.array_equal(a, b)
     # the column step's G = U^H Q holds the adjoints of the column sums
     for sums in (row_sums(u, p), _adjoints(col_sums(u, p))):
-        factors, singular = engine._line_sum_polars(sums, p, PolarConfig())
+        factors, singular = engine._line_sum_polars(sums, p)
         expected, expected_singular = polar_unitary_batch(sums)
         assert np.array_equal(factors, expected) and np.array_equal(singular, expected_singular)

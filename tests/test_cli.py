@@ -42,6 +42,16 @@ def test_random_rejects_empty_size(tmp_path, capsys):
     assert not (tmp_path / "u.json").exists()
 
 
+def test_random_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError(f"cannot allocate a {spec.n} x {spec.n} matrix")
+
+    monkeypatch.setattr(blockdxz.cli, "haar_random_unitary", no_memory)
+    assert main(["random", "--n", "1000000", "-o", str(tmp_path / "u.json")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: cannot allocate")
+    assert not (tmp_path / "u.json").exists()
+
+
 def test_decompose_command(tmp_path, u6_file, capsys):
     outdir = tmp_path / "out"
     code = main(
