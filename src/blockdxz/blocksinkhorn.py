@@ -26,13 +26,14 @@ Z as batched matmuls, so X's unitarity is its only dense n x n product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .matcore import (
-    _UNITARY_INPUT_TOL, BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag,
-    line_sum_residual, split_block_diagonal, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, line_sum_residual,
+    require_unitary, split_block_diagonal, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch, polar_unitary_pair
 
@@ -62,8 +63,8 @@ class IterationConfig:
     polar: PolarConfig = PolarConfig()
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (math.isfinite(self.psi_tol) and self.psi_tol > 0):
             raise ValueError("psi_tol must be positive and finite")
 
@@ -106,7 +107,10 @@ def psi(mat, p: BlockPartition) -> float:
     """Progress monitor n^2 - |Btr|^2; zero iff a unitary matrix has all block
     line sums equal to I (up to a global phase).  mat is read in place, not
     copied."""
-    return float(p.n**2 - abs(block_trace(mat, p)) ** 2)
+    try:
+        return float(p.n**2 - abs(block_trace(mat, p)) ** 2)
+    except OverflowError:  # a finite mat whose |Btr|^2 passes the float range
+        return -math.inf
 
 
 def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockPartition):
@@ -157,16 +161,15 @@ def decompose(u, m: int, cfg: IterationConfig = IterationConfig()) -> DxzDecompo
     starts as the phase Btr/|Btr| of U (1 when |Btr| is zero or subnormal),
     which psi cannot see.  Non-convergence is reported, not raised: the
     decomposition is returned with converged=False and still reconstructs U
-    exactly.  U is only read; no factor shares memory with it.  U must be
-    finite: the polar kernel relies on it and does not check again.
+    exactly.  U is only read; no factor shares memory with it.  U must pass
+    require_unitary: the polar kernel relies on it and checks nothing.
     """
-    u = as_matrix(u, copy=False)
+    u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ValueError("decompose needs a square matrix")
     n = u.shape[0]
     p = BlockPartition(n, m)
-    if unitarity_residual(u) > _UNITARY_INPUT_TOL:
-        raise ValueError(f"input is not unitary within {_UNITARY_INPUT_TOL}")
+    require_unitary(u, "input")
 
     if m == n:
         # single-block case: D = U does everything
@@ -229,7 +232,7 @@ def verify_decomposition(u, dec: DxzDecomposition, tol: float) -> VerificationRe
     residual.
     """
     p = dec.partition
-    u, d, x, z = (as_matrix(a, copy=False) for a in (u, dec.D, dec.X, dec.Z))
+    u, d, x, z = (as_matrix(a) for a in (u, dec.D, dec.X, dec.Z))
     for name, a in (("U", u), ("D", d), ("X", x), ("Z", z)):
         if a.shape != (p.n, p.n):
             raise ValueError(f"{name} has shape {a.shape}, expected ({p.n}, {p.n})")

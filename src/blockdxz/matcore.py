@@ -1,5 +1,5 @@
-"""Dense complex matrix substrate: the block layout, special matrices, random
-unitaries and CMAT-JSON file I/O.
+"""Dense complex matrix substrate: the block layout, special matrices, the
+unitarity input gate, random unitaries and CMAT-JSON file I/O.
 
 All matrices are plain numpy arrays of dtype complex128.  Block indices in
 the public interface are 1-based (j, k = 1 .. r); a block covers consecutive
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ __all__ = [
     "split_block_diagonal",
     "block_diag",
     "unitarity_residual",
+    "require_unitary",
     "haar_random_unitary",
     "save_matrix",
     "load_matrix",
@@ -48,8 +50,8 @@ class BlockPartition:
     q: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.n, self.m)):
+            raise ValueError(f"need integers n >= 1 and m >= 1, got n={self.n!r}, m={self.m!r}")
         if self.n % self.m != 0:
             raise ValueError(f"block size m={self.m} does not divide n={self.n}")
         object.__setattr__(self, "r", self.n // self.m)
@@ -64,14 +66,11 @@ class RandomSpec:
     seed: int
 
 
-def as_matrix(values, copy: bool = True) -> np.ndarray:
+def as_matrix(values) -> np.ndarray:
     """Coerce input to a C-contiguous 2-D complex128 array, rejecting
-    non-finite entries.
-
-    With copy=False an array that already is one comes back as itself, for
-    callers that only read it; anything else is converted as with copy=True.
-    """
-    a = np.array(values, dtype=complex, order="C") if copy else np.ascontiguousarray(values, dtype=complex)
+    non-finite entries.  An array that already is one comes back as itself:
+    every caller only reads the result."""
+    a = np.ascontiguousarray(values, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -80,40 +79,37 @@ def as_matrix(values, copy: bool = True) -> np.ndarray:
 
 
 def as_partitioned(a, p: BlockPartition) -> np.ndarray:
-    """as_matrix(a, copy=False), also requiring the n x n shape of the
-    partition; every caller only reads the result."""
-    a = as_matrix(a, copy=False)
+    """as_matrix(a), also requiring the n x n shape of the partition."""
+    a = as_matrix(a)
     if a.shape != (p.n, p.n):
         raise ValueError(f"matrix shape {a.shape} does not match partition n={p.n}")
     return a
 
 
-# ||A^H A - I||_F up to which an input matrix or block counts as unitary
-_UNITARY_INPUT_TOL = 1e-8
-# block side from which unitarity_residual forms a^H a from real products
-_SPLIT_GRAM_MIN_N = 128
-
-
 def unitarity_residual(a: np.ndarray) -> float:
     """||a^H a - I||_F of a square matrix, or of all blocks of an (r, m, m)
-    stack together.
-
-    Blocks below 128 x 128 take the one complex product a^H a, which is as
-    fast there or faster.  From 128 on, with a = P + iQ and S = [P; Q]
-    stacked by rows, Re(a^H a) = S^T S is a symmetric product that BLAS
-    forms at half the cost of a general one, and Im(a^H a) = K - K^T with
-    K = P^T Q: 2 n^3 real multiply-adds per block against 4 n^3.  That
-    route may differ from the complex product by rounding.
-    """
+    stack together.  With a = P + iQ and S = [P; Q] stacked by rows,
+    Re(a^H a) = S^T S is a symmetric product that BLAS forms at half the cost
+    of a general one, and Im(a^H a) = K - K^T with K = P^T Q: 2 n^3 real
+    multiply-adds per block against 4 n^3 for one complex product a^H a,
+    from which the result may differ by rounding."""
     n = a.shape[-1]
-    if n < _SPLIT_GRAM_MIN_N:
-        return float(np.linalg.norm(a.conj().swapaxes(-1, -2) @ a - np.eye(n)))
     rows = a.shape[-2]
     s = np.concatenate((a.real, a.imag), axis=-2)
     re = s.swapaxes(-1, -2) @ s  # one buffer times its own transpose: syrk
     re.reshape(-1, n * n)[:, :: n + 1] -= 1.0
     k = s[..., :rows, :].swapaxes(-1, -2) @ s[..., rows:, :]
     return math.hypot(np.linalg.norm(re), np.linalg.norm(k - k.swapaxes(-1, -2)))
+
+
+_UNITARY_INPUT_TOL = 1e-8
+
+
+def require_unitary(a: np.ndarray, name: str) -> None:
+    """The one input gate, as the DXZ family is stated for unitary U: raise
+    ValueError unless ||a^H a - I||_F <= 1e-8, which an inf or NaN fails."""
+    if not unitarity_residual(a) <= _UNITARY_INPUT_TOL:
+        raise ValueError(f"{name} is not unitary within {_UNITARY_INPUT_TOL}")
 
 
 def block_grid(a: np.ndarray, p: BlockPartition) -> np.ndarray:
@@ -225,7 +221,7 @@ def save_matrix(path, a) -> None:
     """Write a matrix as CMAT-JSON, one row at a time.  The text equals
     json.dumps of the whole payload, but neither that text nor the nested
     lists of every entry are ever held at once."""
-    a = as_matrix(a, copy=False)
+    a = as_matrix(a)
     rows, cols = a.shape
     pairs = a.view(float).reshape(rows, cols, 2)
     with open(path, "w") as fh:
@@ -271,4 +267,4 @@ def load_matrix(path) -> np.ndarray:
         pairs = pairs.astype(float, copy=False)
     except OverflowError as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc
-    return as_matrix(pairs.view(complex).reshape(rows, cols), copy=False)
+    return as_matrix(pairs.view(complex).reshape(rows, cols))

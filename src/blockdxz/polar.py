@@ -8,8 +8,8 @@ iterating and batched over a stack of blocks, and the singular values of the
 same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
 its factor is its phase z/|z| and its singular value its modulus |z|, so a
 stack of them costs a few elementwise operations.  The one caller, the
-block-Sinkhorn sweep, passes stacks that are a finite U times a unitary, so
-polar_unitary_batch does not check for non-finite entries.
+block-Sinkhorn sweep, passes complex (r, m, m) stacks that are a finite U
+times a unitary, so polar_unitary_batch checks nothing about them.
 
 Two m x m blocks S1, S2 with S1^H S1 + S2^H S2 = 2I, as the two blocks of
 U V for a unitary U with r = 2 blocks per side and block-diagonal unitary V
@@ -52,19 +52,16 @@ class PolarConfig:
 
 
 def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary polar factors of a stack of finite square matrices: Phi of
-    M = Phi P, which is also Upsilon of M = Q Upsilon, so row and column
-    sweeps share it.
+    """Unitary polar factors of a complex (count, m, m) stack of finite
+    matrices: Phi of M = Phi P, which is also Upsilon of M = Q Upsilon, so
+    row and column sweeps share it.
 
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
     _SING_TOL has no well-defined factor and gets the identity.  For 1 x 1
     slices z the factor is the phase z/|z| and the singular value is |z|,
-    computed without an SVD.  Non-finite entries are not checked for.
+    computed without an SVD.  Nothing about mats is checked.
     """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim != 3 or mats.shape[-2] != mats.shape[-1]:
-        raise ValueError("polar_unitary_batch needs a (count, m, m) stack")
     if mats.shape[-1] == 1:
         mod = np.abs(mats)
         singular = mod < _SING_TOL

@@ -16,8 +16,8 @@ import numpy as np
 
 from .blocksinkhorn import DxzDecomposition, IterationConfig, decompose, psi
 from .matcore import (
-    _UNITARY_INPUT_TOL, BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_grid,
-    diag_blocks, line_sum_residual, off_block_norm, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_grid, diag_blocks,
+    line_sum_residual, off_block_norm, require_unitary, unitarity_residual,
 )
 
 __all__ = [
@@ -55,8 +55,8 @@ class BiunitaryVector:
         blocks = np.array(self.blocks, dtype=complex)  # blocks of mixed sizes raise ValueError here
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or blocks.size == 0:
             raise ValueError(f"need a non-empty (r, m, m) stack of square blocks, got shape {blocks.shape}")
-        if not all(unitarity_residual(b) <= _UNITARY_INPUT_TOL for b in blocks):  # NaN fails too
-            raise ValueError(f"block is not unitary within {_UNITARY_INPUT_TOL}")
+        for b in blocks:
+            require_unitary(b, "block")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -123,11 +123,11 @@ def membership(mat, p: BlockPartition, group: str, tol: float) -> bool:
     mat = as_partitioned(mat, p)
     if group not in ("DU", "ZU", "XU"):
         raise ValueError(f"unknown group {group!r}, expected DU, ZU or XU")
-    if unitarity_residual(mat) > tol:
+    if not unitarity_residual(mat) <= tol:  # NaN fails too
         return False
     if group == "XU":
         return line_sum_residual(mat, p) <= tol
-    if off_block_norm(mat, p) > tol:
+    if not off_block_norm(mat, p) <= tol:
         return False
     if group == "ZU":
         return float(np.linalg.norm(mat[: p.m, : p.m] - np.eye(p.m))) <= tol
@@ -154,8 +154,7 @@ def core_to_xu(g, p: BlockPartition) -> np.ndarray:
     g = as_matrix(g)
     if g.shape != (p.q, p.q):
         raise ValueError(f"core shape {g.shape} does not match q={p.q}")
-    if unitarity_residual(g) > _UNITARY_INPUT_TOL:
-        raise ValueError("core must be unitary")
+    require_unitary(g, "core")
     return _fourier_conjugate(identity_plus_core(g, p), p)
 
 
@@ -236,8 +235,7 @@ def xu_from_biunitary(u, v: BiunitaryVector, w: BiunitaryVector, tol: float) -> 
     u = as_partitioned(u, p)
     if v.r != w.r or v.m != w.m:
         raise ValueError("V and W must have matching block structure")
-    if unitarity_residual(u) > _UNITARY_INPUT_TOL:
-        raise ValueError(f"U is not unitary within {_UNITARY_INPUT_TOL}")
+    require_unitary(u, "U")
     if float(np.linalg.norm(v.blocks[0] - np.eye(p.m))) > tol:
         raise ValueError("V_1 must be the identity within tol")
     residual = float(np.linalg.norm(u @ v.stacked - w.stacked))
@@ -266,8 +264,7 @@ def u2_parameters(u) -> U2Parameters:
     u = as_matrix(u)
     if u.shape != (2, 2):
         raise ValueError("u2_parameters needs a 2 x 2 matrix")
-    if unitarity_residual(u) > _UNITARY_INPUT_TOL:
-        raise ValueError("input is not unitary")
+    require_unitary(u, "input")
 
     c = abs(u[0, 0])
     s = abs(u[0, 1])

@@ -370,6 +370,48 @@ def test_non_finite_input_is_rejected_before_any_sweep(monkeypatch, u6, run, bad
         run(u6, 2)
 
 
+def eye4_with(big):
+    """I_4 with entry (0, 0) = big: finite, but its Gram a^H a overflows."""
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = big
+    return u
+
+
+@pytest.mark.parametrize("run", [decompose, conjugate_decompose])
+@pytest.mark.parametrize("big", [1e300, 1.4e154])
+def test_input_whose_gram_overflows_is_not_unitary(monkeypatch, run, big):
+    # an inf or NaN residual must fail the 1e-8 gate, not slip under it
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran on a non-unitary input")
+
+    monkeypatch.setattr(engine, "_sweep", no_sweep)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        run(eye4_with(big), 2)
+
+
+def test_psi_of_a_finite_matrix_whose_trace_squares_past_the_float_range():
+    assert psi(eye4_with(1e200), BlockPartition(4, 2)) == -math.inf
+    # below that the square is Python's float power, as before
+    assert psi(eye4_with(1e150), BlockPartition(4, 2)) == float(16 - abs(1e150 + 3) ** 2)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": math.inf}, {"max_iter": 2.5}, {"max_iter": 0}])
+def test_iteration_config_requires_an_integer_budget(kwargs):
+    with pytest.raises(ValueError, match="max_iter"):
+        IterationConfig(**kwargs)
+    assert IterationConfig(max_iter=np.int64(3)).max_iter == 3
+
+
+def test_block_partition_requires_integer_sizes(u6):
+    for n, m in ((6, 2.0), (6.0, 2), (6, np.float64(3))):
+        with pytest.raises(ValueError, match="integers"):
+            BlockPartition(n, m)
+    with pytest.raises(ValueError, match="integers"):
+        decompose(u6, 2.0)
+    assert BlockPartition(np.int64(6), np.int32(2)).r == 3
+    assert decompose(u6, np.int64(2), IterationConfig(max_iter=3)).partition.r == 3
+
+
 def test_scalar_case_keeps_unit_modulus_factors():
     p = BlockPartition(6, 1)
     u = haar_random_unitary(RandomSpec(6, 9))
@@ -564,8 +606,8 @@ def test_verify_matches_dense_formulas():
             d, x, z = factors["D"], dec.X, factors["Z"]
             report, _ = assert_matches_dense(u, DxzDecomposition(d, x, z, dec.partition), 1e-8, 1e-13 * n)
             assert report["reconstruction"] == float(np.linalg.norm(d @ x @ z - u))
-            assert report["d_unitarity"] == float(np.linalg.norm(d.conj().T @ d - np.eye(n)))
-            assert report["z_unitarity"] == float(np.linalg.norm(z.conj().T @ z - np.eye(n)))
+            assert report["d_unitarity"] == unitarity_residual(d)
+            assert report["z_unitarity"] == unitarity_residual(z)
             assert report[f"{name.lower()}_off_diagonal"] >= 0.9e-6
             assert not report["passed"]
 
@@ -653,7 +695,7 @@ def test_verify_off_block_entry_takes_dense_route(n, m):
         assert offs.pop(name) == 1e-20
         assert offs.popitem()[1] == 0.0
         assert report.reconstruction == float(np.linalg.norm(d @ x @ z - u))
-        assert report.d_unitarity == float(np.linalg.norm(d.conj().T @ d - np.eye(n)))
+        assert report.d_unitarity == unitarity_residual(d)
 
 
 def paired_and_svd_runs(monkeypatch, u, m, cfg=IterationConfig()):

@@ -452,6 +452,35 @@ def test_non_unitary_input_is_a_data_error_after_the_block_size(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def overflow_file(tmp_path):
+    """A finite 4 x 4 file, I with entry (0, 0) = 1e200, whose Gram overflows."""
+    u = np.eye(4)
+    u[0, 0] = 1e200
+    path = tmp_path / "big.json"
+    save_matrix(path, u)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
+def test_input_whose_gram_overflows_is_a_data_error(tmp_path, capsys, overflow_file, command):
+    argv = [command, overflow_file, "--m", "2"]
+    if command in ("decompose", "conjugate"):
+        argv += ["-o", str(tmp_path / "out")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {overflow_file}:") and "not unitary" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_of_a_file_whose_gram_overflows_fails_without_raising(capsys, overflow_file):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", *[overflow_file] * 4, "--m", "2", "--json"]) == EXIT_NOT_CONVERGED
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and report["psi_x"] == -float("inf")
+
+
 @pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])
 def test_non_square_input_is_a_data_error(tmp_path, capsys, command):
     path = tmp_path / "wide.json"

@@ -75,6 +75,15 @@ def test_membership_block_diagonal_cases():
         assert not membership(swap, p, group, 1e-12)
 
 
+@pytest.mark.parametrize("big", [1e300, 1e200])
+def test_membership_rejects_a_matrix_whose_gram_overflows(big):
+    mat = np.eye(4, dtype=complex)
+    mat[0, 0] = big
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in ("DU", "ZU"):
+            assert not membership(mat, BlockPartition(4, 2), group, 1e-8)
+
+
 def test_membership_rejects_unknown_group():
     with pytest.raises(ValueError):
         membership(np.eye(4), BlockPartition(4, 2), "QU", 1e-8)
@@ -140,6 +149,8 @@ def test_core_to_xu_examples():
         core_to_xu(2 * np.eye(3), p)
     with pytest.raises(ValueError, match="does not match"):
         core_to_xu(np.eye(2), p)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        core_to_xu(np.diag([1e300, 1.0]), BlockPartition(4, 2))
 
 
 def test_core_round_trip_random():
@@ -349,6 +360,8 @@ def test_u2_parameters_examples():
         u2_parameters(2 * np.eye(2))
     with pytest.raises(ValueError):
         u2_parameters(np.eye(3))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        u2_parameters(np.diag([1e300, 1.0]))
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
