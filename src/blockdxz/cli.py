@@ -100,6 +100,13 @@ def _print_matrix(mat: np.ndarray, label: str):
         print("  " + "  ".join(_format_complex(v) for v in row))
 
 
+def _finite_or_none(values: dict) -> dict:
+    """values with every NaN or infinite float as None, which JSON writes as
+    null: RFC 8259 has no NaN or Infinity, so the JSON this module writes is
+    dumped with allow_nan=False, which raises rather than write such a token."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in values.items()}
+
+
 def _write_report(args, cfg: IterationConfig, outdir: Path, digest: str, p: BlockPartition, residuals: dict,
                   converged: bool, started: float, psi_trace=()) -> None:
     """Write <outdir>/report.json, and print it under --json.  digest is the
@@ -110,10 +117,10 @@ def _write_report(args, cfg: IterationConfig, outdir: Path, digest: str, p: Bloc
         "partition": {"n": p.n, "m": p.m, "r": p.r, "q": p.q},
         "config": {"max_iter": cfg.max_iter, "psi_tol": cfg.psi_tol, "polar_iters": cfg.polar.newton_iters},
         "psi_trace": [[t, value] for t, value in psi_trace],
-        "residuals": residuals,
+        "residuals": _finite_or_none(residuals),
         "converged": converged,
         "wall_time_s": time.perf_counter() - started,
-    }, indent=2)
+    }, indent=2, allow_nan=False)
     (outdir / "report.json").write_text(text)
     if args.json:
         print(text)
@@ -153,7 +160,7 @@ def cmd_verify(args) -> int:
     d, x, z = map(load_matrix, (args.d, args.x, args.z))
     report = verify_decomposition(u, DxzDecomposition(D=d, X=x, Z=z, partition=p), args.tol)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
+        print(json.dumps(_finite_or_none(report.as_dict()), indent=2, allow_nan=False))
     else:
         for key, value in report.as_dict().items():
             print(f"{key}: {value}")

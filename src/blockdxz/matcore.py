@@ -107,8 +107,11 @@ _UNITARY_INPUT_TOL = 1e-8
 
 def require_unitary(a: np.ndarray, name: str) -> None:
     """The one input gate, as the DXZ family is stated for unitary U: raise
-    ValueError unless ||a^H a - I||_F <= 1e-8, which an inf or NaN fails."""
-    if not unitarity_residual(a) <= _UNITARY_INPUT_TOL:
+    ValueError unless ||a^H a - I||_F <= 1e-8, which an inf or NaN fails.  A
+    finite a whose Gram overflows is decided here, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = unitarity_residual(a)
+    if not residual <= _UNITARY_INPUT_TOL:
         raise ValueError(f"{name} is not unitary within {_UNITARY_INPUT_TOL}")
 
 

