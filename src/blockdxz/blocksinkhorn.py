@@ -15,12 +15,9 @@ and two batched polar factors, for every m < n (at m = 1, Sinkhorn normal
 form, they are matrix-vector products and phases).  Nothing is accumulated,
 so rounding does not build up over a long run.  X is formed once, on return,
 and D = diag(Q), Z = diag(V)^H are the only n x n block-diagonal matrices
-built.  With r = 2 blocks per side and m >= _PAIRED_POLAR_MIN_M, the two
-blocks of W (and of G) are a cosine-sine pair, and each step takes both
-polar factors from one SVD (polar.polar_unitary_pair); a singular or
-ill-conditioned pair gets the SVD of each block, as smaller m do.  The
-verifier reads its inputs in place and applies the diagonal blocks of D and
-Z as batched matmuls, so X's unitarity is its only dense n x n product.
+built.  The verifier reads its inputs in place and applies the diagonal
+blocks of D and Z as batched matmuls, so X's unitarity is its only dense
+n x n product.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .matcore import (
     BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, line_sum_residual,
     require_unitary, split_block_diagonal, unitarity_residual,
 )
-from .polar import PolarConfig, polar_unitary_batch, polar_unitary_pair
+from .polar import PolarConfig, polar_unitary_batch
 
 __all__ = [
     "IterationConfig",
@@ -47,14 +44,6 @@ __all__ = [
     "line_sum_tolerance",
     "verify_decomposition",
 ]
-
-# block side from which an r = 2 sweep takes polar_unitary_pair, one SVD per
-# line-sum step instead of two.  Measured per sweep with single-threaded
-# OpenBLAS: 0.79x the SVD route's time from m = 24 on, 0.9-1.2x at m = 16-20,
-# and 1.7x at m = 8 and 2.7x at m = 2, where its products and checks cost
-# more than the SVD they save
-_PAIRED_POLAR_MIN_M = 24
-
 
 @dataclass(frozen=True)
 class IterationConfig:
@@ -121,30 +110,18 @@ def _sweep(u: np.ndarray, w: np.ndarray, q: np.ndarray, v: np.ndarray, p: BlockP
     step sets V_k = polar(G_k) polar(G_1)^H, which keeps V_1 = I.  A singular
     line sum keeps its previous Q_j or V_k, as the identity step of the
     dense sweep does."""
-    q_next, singular = _line_sum_polars(w, p)
+    q_next, singular = polar_unitary_batch(w)
     if np.count_nonzero(singular):
         q_next[singular] = q[singular]
     # G = conj(U^T conj(Q)): matmul reads U transposed in place, so a sweep
     # streams U alone.  With a conjugated copy of U beside it, the two no
     # longer fit a 2 MB L2 cache at n = 256: 100 -> 130 us per m = 1 sweep
     g = (u.T @ q_next.reshape(p.n, p.m).conj()).conj()
-    upsilons, singular = _line_sum_polars(g.reshape(q.shape), p)
+    upsilons, singular = polar_unitary_batch(g.reshape(q.shape))
     v_next = upsilons @ upsilons[0].conj().T
     if np.count_nonzero(singular):
         v_next[singular] = v[singular]
     return q_next, v_next
-
-
-def _line_sum_polars(sums: np.ndarray, p: BlockPartition):
-    """polar_unitary_batch of the (r, m, m) stack W = U V or G = U^H Q.  With
-    r = 2 both satisfy S1^H S1 + S2^H S2 = 2I (W^H W = V^H V and G^H G =
-    Q^H Q), so from m = _PAIRED_POLAR_MIN_M on polar_unitary_pair takes both
-    factors from one SVD where it can; both stacks are finite, as U is."""
-    if p.r == 2 and p.m >= _PAIRED_POLAR_MIN_M:
-        factors = polar_unitary_pair(sums)
-        if factors is not None:
-            return factors, np.zeros(2, dtype=bool)
-    return polar_unitary_batch(sums)
 
 
 def _certified(q: np.ndarray, w: np.ndarray, psi_t: float, psi_tol: float, tol: float) -> bool:

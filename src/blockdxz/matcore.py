@@ -237,14 +237,14 @@ def save_matrix(path, a) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a CMAT-JSON matrix, rejecting shape mismatches and entries that are
     not pairs of finite numbers."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     # JSON true/false decode to bool, a subclass of int; text without either
     # literal holds no bool, so large files of numbers skip the per-entry scan
     may_hold_bool = "true" in text or "false" in text
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     del text  # from here on only the parsed lists are held
     if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
         raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
@@ -266,8 +266,7 @@ def load_matrix(path) -> np.ndarray:
         )
     if not numbers:
         raise ValueError(f"{path}: malformed entries: re and im must be numbers, not strings, null or true/false")
-    try:
-        pairs = pairs.astype(float, copy=False)
-    except OverflowError as exc:
+    try:  # OverflowError: an integer beyond float range; ValueError: Infinity, NaN or 1e400
+        return as_matrix(pairs.astype(float, copy=False).view(complex).reshape(rows, cols))
+    except (OverflowError, ValueError) as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc
-    return as_matrix(pairs.view(complex).reshape(rows, cols))

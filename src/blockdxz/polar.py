@@ -8,17 +8,18 @@ iterating and batched over a stack of blocks, and the singular values of the
 same call decide whether a block is singular.  Blocks of side 1 and 2, where
 a sweep is bound by numpy's per-call cost, need no SVD: the factor of a
 1 x 1 block z is its phase z/|z|, and a 2 x 2 block has a closed form
-(_polar_2x2), a few elementwise operations on the whole stack.  The one
-caller, the block-Sinkhorn sweep, passes complex (r, m, m) stacks that are a
-finite U times a unitary, so polar_unitary_batch checks nothing about them.
+(_polar_2x2), a few elementwise operations on the whole stack.
 
-Two m x m blocks S1, S2 with S1^H S1 + S2^H S2 = 2I, as the two blocks of
-U V for a unitary U with r = 2 blocks per side and block-diagonal unitary V
-satisfy (the stacks whose polar factors a block-Sinkhorn sweep takes), form
-a cosine-sine pair with shared right singular vectors (Paige & Wei 1994).
-polar_unitary_pair takes both factors from one SVD of S1 and one
-Newton-Schulz step on the second, and declines where that step cannot make
-the second factor unitary to rounding.
+The one caller, the block-Sinkhorn sweep, passes complex (r, m, m) stacks
+of line sums S = U B, a finite unitary U times a column B of r unitary
+blocks, so polar_unitary_batch checks nothing about them.  With r = 2 they
+satisfy S1^H S1 + S2^H S2 = B^H B = 2I: a cosine-sine pair with shared
+right singular vectors (Paige & Wei 1994), the Fuhr-Rzeszotnik block-ZXZ
+case.  From m = _PAIRED_POLAR_MIN_M on, _polar_pair takes both factors from
+one SVD of S1 and one Newton-Schulz step on the second.  It declines a
+singular pair, and one whose second factor that step cannot make unitary to
+rounding (a stack that is no cosine-sine pair among them); the SVD of each
+block then decides.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ _PAIR_GRAM_TOL = math.sqrt(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny
 # adj(M)^H = conj([[d, -c], [-b, a]]) for M = [[a, b], [c, d]]: its signs, flat
 _ADJOINT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+# block side from which a (2, m, m) stack takes _polar_pair, one SVD per
+# stack instead of two.  Measured per sweep with single-threaded OpenBLAS:
+# 0.79x the SVD route's time from m = 24 on, 0.9-1.2x at m = 16-20, and 1.7x
+# at m = 8 and 2.7x at m = 2, where its products and checks cost more than
+# the SVD they save
+_PAIRED_POLAR_MIN_M = 24
 
 
 @dataclass(frozen=True)
@@ -63,24 +70,30 @@ def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
-    _SING_TOL has no well-defined factor and gets the identity.  For 1 x 1
-    slices z the factor is the phase z/|z| and the singular value is |z|;
-    2 x 2 slices take _polar_2x2.  Nothing about mats is checked.
+    _SING_TOL has no well-defined factor and gets the identity.  The shape
+    alone picks the route: a (2, m, m) stack with m >= _PAIRED_POLAR_MIN_M
+    takes _polar_pair where it can; otherwise, for 1 x 1 slices z the factor
+    is the phase z/|z| and the singular value is |z|, 2 x 2 slices take
+    _polar_2x2, and all others take one batched SVD.  Nothing about mats is
+    checked.
     """
-    if mats.shape[-1] == 1:
+    count, m = mats.shape[:2]
+    if count == 2 and m >= _PAIRED_POLAR_MIN_M and (factors := _polar_pair(mats)) is not None:
+        return factors, np.zeros(2, dtype=bool)
+    if m == 1:
         mod = np.abs(mats)
         singular = mod < _SING_TOL
         if not np.count_nonzero(singular):
             return mats / mod, singular.reshape(-1)
         factors = np.divide(mats, mod, out=np.ones_like(mats), where=~singular)
         return factors, singular.reshape(-1)
-    if mats.shape[-1] == 2:
+    if m == 2:
         return _polar_2x2(mats)
     w, svals, vh = np.linalg.svd(mats)
     singular = svals[:, -1] < _SING_TOL
     factors = w @ vh
     if np.count_nonzero(singular):
-        factors[singular] = np.eye(mats.shape[-1])
+        factors[singular] = np.eye(m)
     return factors, singular
 
 
@@ -120,9 +133,9 @@ def _polar_2x2(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, singular
 
 
-def polar_unitary_pair(sums: np.ndarray) -> np.ndarray | None:
+def _polar_pair(sums: np.ndarray) -> np.ndarray | None:
     """The unitary polar factors of a (2, m, m) stack S1, S2 with
-    S1^H S1 + S2^H S2 = 2I, from one SVD; None where polar_unitary_batch
+    S1^H S1 + S2^H S2 = 2I, from one SVD; None where the SVD of each block
     must take them.
 
     With S1 = W Sigma V^H, V^H S2^H S2 V = 2I - Sigma^2 is diagonal, so the

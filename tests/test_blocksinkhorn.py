@@ -23,6 +23,7 @@ from blockdxz import (
     verify_decomposition,
 )
 import blockdxz.blocksinkhorn as engine
+import blockdxz.polar as polar
 from blockdxz.matcore import (
     _adjoints, _apply_left, _apply_right, block_diag, block_grid, col_sums, diag_blocks, line_sum_residual, row_sums,
     unitarity_residual,
@@ -703,7 +704,7 @@ def paired_and_svd_runs(monkeypatch, u, m, cfg=IterationConfig()):
     the SVD of every block (the floor raised past any m)."""
     runs = []
     for floor in (2, 10**9):
-        monkeypatch.setattr(engine, "_PAIRED_POLAR_MIN_M", floor)
+        monkeypatch.setattr(polar, "_PAIRED_POLAR_MIN_M", floor)
         runs.append(decompose(u, m, cfg))
     return runs
 
@@ -712,10 +713,12 @@ def paired_and_svd_runs(monkeypatch, u, m, cfg=IterationConfig()):
 def test_paired_route_matches_svd_route(monkeypatch, n):
     u = haar_random_unitary(RandomSpec(n, 40 + n))
     cfg = IterationConfig(max_iter=20)
-    svd_calls = []
-    monkeypatch.setattr(engine, "polar_unitary_batch", lambda *a: svd_calls.append(a) or polar_unitary_batch(*a))
+    pairs = []
+    pair = polar._polar_pair
+    monkeypatch.setattr(polar, "_polar_pair", lambda sums: pairs.append(pair(sums)) or pairs[-1])
     paired, svd = paired_and_svd_runs(monkeypatch, u, n // 2, cfg)
-    assert len(svd_calls) == 2 * 20  # every step of the svd run, none of the paired one
+    # every step of the paired run took the pair, and none of the svd run called it
+    assert len(pairs) == 2 * 20 and all(factors is not None for factors in pairs)
     for a, b in ((paired.X, svd.X), (paired.D, svd.D), (paired.Z, svd.Z)):
         assert np.linalg.norm(a - b) <= 1e-12 * n
     assert [t for t, _ in paired.psi_trace] == [t for t, _ in svd.psi_trace]
@@ -749,17 +752,16 @@ def test_singular_sums_take_the_svd_route_exactly(monkeypatch, signs):
     # (1/sqrt2) [[I, -I], [I, I]] has row sum S1 = 0 and column sum C2 = 0;
     # [[I, I], [I, -I]] / sqrt2 has S2 = 0 and C2 = 0.  At the floor the
     # paired route declines, and the sweep returns the SVD route's factors
-    m = engine._PAIRED_POLAR_MIN_M
+    m = polar._PAIRED_POLAR_MIN_M
     p = BlockPartition(2 * m, m)
     u = np.kron(np.reshape(signs, (2, 2)) / np.sqrt(2), np.eye(m))
-    sweeps = []
+    sweeps, kernels = [], []
+    # the column step's G = U^H Q holds the adjoints of the column sums
     for floor in (m, 10**9):
-        monkeypatch.setattr(engine, "_PAIRED_POLAR_MIN_M", floor)
+        monkeypatch.setattr(polar, "_PAIRED_POLAR_MIN_M", floor)
         sweeps.append(sweep_from(u, p))
+        kernels.append([polar_unitary_batch(sums) for sums in (row_sums(u, p), _adjoints(col_sums(u, p)))])
     for a, b in zip(*sweeps):
         assert np.array_equal(a, b)
-    # the column step's G = U^H Q holds the adjoints of the column sums
-    for sums in (row_sums(u, p), _adjoints(col_sums(u, p))):
-        factors, singular = engine._line_sum_polars(sums, p)
-        expected, expected_singular = polar_unitary_batch(sums)
+    for (factors, singular), (expected, expected_singular) in zip(*kernels):
         assert np.array_equal(factors, expected) and np.array_equal(singular, expected_singular)

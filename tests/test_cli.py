@@ -197,15 +197,19 @@ def test_usage_and_data_errors(tmp_path, u6_file):
         {"rows": 1, "cols": 1, "data": [[{"a": 1}]]},
         {"rows": 2, "cols": 2, "data": [[[1, 0], [0, 1]], [[1, 0]]]},  # ragged rows
         {"rows": 1, "cols": 2, "data": [[[1.5, 0], [10**400, 0]]]},  # beyond float range, beside a float
+        pytest.param({"rows": 1, "cols": 1, "data": [[[float("inf"), 0]]]}, id="infinity"),
+        pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}', id="float-literal-beyond-range"),
+        pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1, 0]]], "note": "\xff"}', id="not-utf-8"),
     ],
 )
 def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     with pytest.raises(ValueError):
         load_matrix(path)
     assert main(["trace", str(path), "--m", "1"]) == EXIT_DATA
-    assert capsys.readouterr().err.startswith("error:")
+    # with several input files, only the path says which one is bad
+    assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
 def test_deeply_nested_cmat_is_a_data_error(tmp_path, capsys):

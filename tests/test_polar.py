@@ -3,7 +3,7 @@ import pytest
 
 from blockdxz import BlockPartition, PolarConfig, RandomSpec, haar_random_unitary
 from blockdxz.matcore import _adjoints, block_diag, col_sums, row_sums, unitarity_residual
-from blockdxz.polar import _PAIR_GRAM_TOL, _SING_TOL, polar_unitary_batch, polar_unitary_pair
+from blockdxz.polar import _PAIR_GRAM_TOL, _PAIRED_POLAR_MIN_M, _SING_TOL, _polar_pair, polar_unitary_batch
 from refdata import polar_oracle
 
 
@@ -242,9 +242,9 @@ def haar_iterate(n, seed, sweeps=2):
 
 
 def paired_line_sum_factors(x, p):
-    """polar_unitary_pair of the row sums and, on adjoints, of the column sums."""
-    rows = polar_unitary_pair(row_sums(x, p))
-    cols = polar_unitary_pair(_adjoints(col_sums(x, p)))
+    """_polar_pair of the row sums and, on adjoints, of the column sums."""
+    rows = _polar_pair(row_sums(x, p))
+    cols = _polar_pair(_adjoints(col_sums(x, p)))
     return rows, None if cols is None else _adjoints(cols)
 
 
@@ -253,11 +253,25 @@ def test_pair_matches_batch_on_haar_iterates(n):
     p = BlockPartition(n, n // 2)
     x = haar_iterate(n, n)
     for sums, paired in zip((row_sums(x, p), col_sums(x, p)), paired_line_sum_factors(x, p)):
-        expected, singular = polar_unitary_batch(sums)
+        expected, singular = svd_route(sums)
         assert not singular.any()
         assert paired is not None
         assert np.linalg.norm(paired - expected, axis=(1, 2)).max() <= 1e-12 * n
         assert unitarity_residual(paired[0]) <= 1e-13 * n and unitarity_residual(paired[1]) <= 1e-13 * n
+
+
+def test_kernel_takes_the_pair_from_its_floor_on():
+    # the kernel picks the route from the stack's shape: a (2, m, m) stack
+    # takes the paired factors from m = _PAIRED_POLAR_MIN_M on, and the SVD
+    # of each block below it
+    for m, pair in ((_PAIRED_POLAR_MIN_M, True), (_PAIRED_POLAR_MIN_M - 1, False)):
+        p = BlockPartition(2 * m, m)
+        x = haar_iterate(2 * m, m)
+        for sums in (row_sums(x, p), _adjoints(col_sums(x, p))):
+            factors, singular = polar_unitary_batch(sums)
+            expected, expected_singular = (_polar_pair(sums), np.zeros(2, dtype=bool)) if pair else svd_route(sums)
+            assert np.array_equal(factors, expected)
+            assert np.array_equal(singular, expected_singular) and not singular.any()
 
 
 def cosine_sine_unitary(m, sigma, seed):
@@ -285,10 +299,10 @@ def test_pair_on_near_singular_sums_stays_within_its_gram_bound():
         for seed in range(5):
             sums = row_sums(cosine_sine_unitary(m, sigma, seed), p)
             assert abs(np.linalg.svd(sums[1], compute_uv=False)[-1] - sigma) <= 1e-14
-            paired = polar_unitary_pair(sums)
+            paired = _polar_pair(sums)
             taken[sigma, seed] = paired is not None
             if paired is not None:
-                expected, _ = polar_unitary_batch(sums)
+                expected, _ = svd_route(sums)
                 assert np.linalg.norm(paired - expected, axis=(1, 2)).max() <= _PAIR_GRAM_TOL
                 assert unitarity_residual(paired) <= 1e-13 * m
     assert all(taken[1e-3, seed] for seed in range(5))
@@ -299,13 +313,13 @@ def test_pair_declines_singular_and_non_finite_sums():
     m = 4
     eye = np.eye(m, dtype=complex)
     for sums in (np.stack((0 * eye, np.sqrt(2) * eye)), np.stack((np.sqrt(2) * eye, 0 * eye))):
-        assert polar_unitary_pair(sums) is None
+        assert _polar_pair(sums) is None
     # NaN in S2 gives NaN norms; in S1, inf gives NaN singular values and
     # NaN makes the SVD raise
     for block, bad in ((1, np.nan), (0, np.inf), (0, np.nan)):
         sums = np.stack((eye, eye))
         sums[block, 0, 1] = bad
-        assert polar_unitary_pair(sums) is None
+        assert _polar_pair(sums) is None
 
 
 def test_pair_declines_sums_whose_gram_one_step_cannot_clean():
@@ -313,6 +327,6 @@ def test_pair_declines_sums_whose_gram_one_step_cannot_clean():
     # breaks it, so Y = S2 V has a Gram defect of ~1e-7, past the bound
     m = 3
     sums = np.stack((np.eye(m), np.eye(m))).astype(complex)
-    assert np.abs(polar_unitary_pair(sums) - sums).max() <= 1e-15
+    assert np.abs(_polar_pair(sums) - sums).max() <= 1e-15
     sums[1, 0, 1] = 1e-7
-    assert polar_unitary_pair(sums) is None
+    assert _polar_pair(sums) is None

@@ -79,9 +79,8 @@ def test_membership_block_diagonal_cases():
 def test_membership_rejects_a_matrix_whose_gram_overflows(big):
     mat = np.eye(4, dtype=complex)
     mat[0, 0] = big
-    with np.errstate(over="ignore", invalid="ignore"):
-        for group in ("DU", "ZU"):
-            assert not membership(mat, BlockPartition(4, 2), group, 1e-8)
+    for group in ("DU", "ZU", "XU"):
+        assert not membership(mat, BlockPartition(4, 2), group, 1e-8)
 
 
 def test_membership_rejects_unknown_group():
@@ -149,7 +148,7 @@ def test_core_to_xu_examples():
         core_to_xu(2 * np.eye(3), p)
     with pytest.raises(ValueError, match="does not match"):
         core_to_xu(np.eye(2), p)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="not unitary"):
         core_to_xu(np.diag([1e300, 1.0]), BlockPartition(4, 2))
 
 
@@ -175,6 +174,11 @@ def test_is_block_circulant():
     near = t @ d @ t.conj().T
     near[4:6, 2:4] += 1e-6  # one block off its diagonal (2 - 1) by more than tol
     assert not is_block_circulant(near, p, 1e-10)
+    # ||M||_F^2 overflows for both, so the default tol must not become inf
+    big = np.eye(4)
+    big[0, 0] = 1e200
+    assert not is_block_circulant(big, BlockPartition(4, 2))
+    assert is_block_circulant(1e200 * (t @ d @ t.conj().T), p)
 
 
 def test_conjugate_identity():
@@ -360,7 +364,7 @@ def test_u2_parameters_examples():
         u2_parameters(2 * np.eye(2))
     with pytest.raises(ValueError):
         u2_parameters(np.eye(3))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="not unitary"):
         u2_parameters(np.diag([1e300, 1.0]))
 
 
