@@ -8,7 +8,8 @@ iterating and batched over a stack of blocks, and the singular values of the
 same call decide whether a block is singular.  Blocks of side 1 and 2, where
 a sweep is bound by numpy's per-call cost, need no SVD: the factor of a
 1 x 1 block z is its phase z/|z|, and a 2 x 2 block has a closed form
-(_polar_2x2), a few elementwise operations on the whole stack.
+(_polar_2x2), a few elementwise operations on the whole stack.  Both decline
+a stack that may hold a singular block, and the SVD route alone flags one.
 
 The one caller, the block-Sinkhorn sweep, passes complex (r, m, m) stacks
 of line sums S = U B, a finite unitary U times a column B of r unitary
@@ -25,6 +26,7 @@ block then decides.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +34,12 @@ import numpy as np
 __all__ = ["PolarConfig"]
 
 # a block whose smallest singular value lies below this is singular and gets
-# the identity; so does every zero or subnormal 1 x 1 block, far below it.
-# np.count_nonzero says whether any is in 0.3 us, ndarray.any() in 1.0 us
+# the identity.  np.count_nonzero says if any is in 0.3 us, .any() in 1.0 us
 _SING_TOL = 1e-10
 # Gram defect ||Phi^H Phi - I||_F of the paired second factor up to which one
 # Newton-Schulz step brings it to rounding: the step leaves about
 # (3/4) defect^2 < eps
 _PAIR_GRAM_TOL = math.sqrt(np.finfo(float).eps)
-_TINY = np.finfo(float).tiny
 # adj(M)^H = conj([[d, -c], [-b, a]]) for M = [[a, b], [c, d]]: its signs, flat
 _ADJOINT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 # block side from which a (2, m, m) stack takes _polar_pair, one SVD per
@@ -59,8 +59,8 @@ class PolarConfig:
     newton_iters: int = 10
 
     def __post_init__(self):
-        if self.newton_iters < 1:
-            raise ValueError("newton_iters must be >= 1")
+        if not (isinstance(self.newton_iters, numbers.Integral) and self.newton_iters >= 1):
+            raise ValueError(f"newton_iters must be an integer >= 1, got {self.newton_iters!r}")
 
 
 def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,24 +71,21 @@ def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (factors, singular) with factors shaped like mats and singular a
     boolean vector.  A slice whose smallest singular value falls below
     _SING_TOL has no well-defined factor and gets the identity.  The shape
-    alone picks the route: a (2, m, m) stack with m >= _PAIRED_POLAR_MIN_M
-    takes _polar_pair where it can; otherwise, for 1 x 1 slices z the factor
-    is the phase z/|z| and the singular value is |z|, 2 x 2 slices take
-    _polar_2x2, and all others take one batched SVD.  Nothing about mats is
-    checked.
+    picks a fast route: a (2, m, m) stack with m >= _PAIRED_POLAR_MIN_M takes
+    _polar_pair, 1 x 1 slices z the phase z/|z|, and 2 x 2 slices _polar_2x2.
+    Each declines a stack that may hold a singular slice (for 1 x 1, one with
+    |z| < _SING_TOL), and that stack, like every other, takes one batched
+    SVD, the only route that flags a slice.  Nothing about mats is checked.
     """
     count, m = mats.shape[:2]
     if count == 2 and m >= _PAIRED_POLAR_MIN_M and (factors := _polar_pair(mats)) is not None:
         return factors, np.zeros(2, dtype=bool)
     if m == 1:
         mod = np.abs(mats)
-        singular = mod < _SING_TOL
-        if not np.count_nonzero(singular):
-            return mats / mod, singular.reshape(-1)
-        factors = np.divide(mats, mod, out=np.ones_like(mats), where=~singular)
-        return factors, singular.reshape(-1)
-    if m == 2:
-        return _polar_2x2(mats)
+        if not np.count_nonzero(mod < _SING_TOL):
+            return mats / mod, np.zeros(count, dtype=bool)
+    elif m == 2 and (factors := _polar_2x2(mats)) is not None:
+        return factors, np.zeros(count, dtype=bool)
     w, svals, vh = np.linalg.svd(mats)
     singular = svals[:, -1] < _SING_TOL
     factors = w @ vh
@@ -97,13 +94,15 @@ def polar_unitary_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, singular
 
 
-def _polar_2x2(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """polar_unitary_batch of 2 x 2 slices M = W diag(s1, s2) V^H, elementwise.
+def _polar_2x2(mats: np.ndarray) -> np.ndarray | None:
+    """The unitary polar factors of 2 x 2 slices M = W diag(s1, s2) V^H,
+    elementwise; None unless every slice has s > _SING_TOL t.
 
     With det M = e^{i phi} s1 s2, e^{i phi} adj(M)^H = W diag(s2, s1) V^H, so
     Phi = (M + e^{i phi} adj(M)^H) / t with t = s1 + s2 = sqrt(||M||_F^2 +
-    2s), s = |det M|.  s_min = s / s_max, s_max = (t + sqrt(||M||_F^2 - 2s))
-    / 2, decides singularity.  An error d in the phase of det M only turns
+    2s), s = |det M|.  s / t = s1 s2 / (s1 + s2) lies between s_min / 2 and
+    s_min, so the screen passes no singular slice, and a zero slice has
+    s = t = 0.  An error d in the phase of det M only turns
     W diag(s1 + e^{id} s2, s2 + e^{id} s1) V^H: Phi stays unitary to O(d^2).
     """
     flat = mats.reshape(-1, 4)  # [a, b, c, d] for [[a, b], [c, d]]
@@ -112,25 +111,15 @@ def _polar_2x2(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.abs(det)
     parts = flat.view(float)  # re and im side by side for complex128 mats; float64 mats as they are
     fro2 = np.add.reduce(parts * parts, axis=1)
-    s2 = s + s
-    t = np.sqrt(fro2 + s2)
-    # 2 s_max, so s2 / it is s / s_max exactly.  Flooring (s1 - s2)^2 at
-    # _TINY rather than 0 moves no s_max above 1e-138 and keeps a zero
-    # slice's 0 / 0 out: it gets 0 / sqrt(_TINY), singular
-    twice_max = t + np.sqrt(np.maximum(fro2 - s2, _TINY))
-    singular = s2 / twice_max < _SING_TOL
-    if any_singular := np.count_nonzero(singular):
-        s[singular] = 1.0  # keeps their 0 / 0 out of the phase; they get I below
-        t[singular] = 1.0
+    t = np.sqrt(fro2 + (s + s))
+    if np.count_nonzero(s > _SING_TOL * t) < len(s):  # or NaN
+        return None
     factors = flat[:, ::-1] * _ADJOINT_SIGNS  # [d, -c, -b, a]
     np.conjugate(factors, out=factors)  # adj(M)^H, flat
     factors *= (det / s)[:, None]
     factors += flat
     factors /= t[:, None]
-    factors = factors.reshape(mats.shape)
-    if any_singular:
-        factors[singular] = np.eye(2)
-    return factors, singular
+    return factors.reshape(mats.shape)
 
 
 def _polar_pair(sums: np.ndarray) -> np.ndarray | None:
@@ -146,7 +135,7 @@ def _polar_pair(sums: np.ndarray) -> np.ndarray | None:
     Returns None when a singular value (of Sigma, or a column norm of Y) is
     not above _SING_TOL, or when the Gram defect ||Phi2^H Phi2 - I||_F
     exceeds _PAIR_GRAM_TOL, where one step cannot clean it up to rounding;
-    the SVD of each block then decides, with its identity fix-ups.  A
+    the SVD of each block then decides, with its identity fix-up.  A
     returned Phi2 lies within defect / 2 of the exact polar factor of S2, to
     first order.
     """

@@ -177,8 +177,8 @@ def test_two_by_two_blocks_match_svd_route_on_random_entries():
 
 
 def test_two_by_two_blocks_flag_as_the_svd_route_either_side_of_sing_tol():
-    # s_min is |det| / s_max, not the cheaper |det| <= tol (s1 + s2), which
-    # would flag s1 = s2 = 1.5e-10 (s1 s2 = 2.25e-20 <= 3e-20)
+    # the closed form's screen |det| > tol (s1 + s2) declines s1 = s2 =
+    # 1.5e-10 (s1 s2 = 2.25e-20 <= 3e-20), and the SVD route decides
     w, v = haar_pairs(200, 1)
     _, singular = assert_matches_svd_route(with_singular_values(w, [1.5e-10, 1.5e-10], v), tol=1e-14)
     assert not singular.any()
@@ -197,6 +197,30 @@ def test_two_by_two_blocks_flag_as_the_svd_route_either_side_of_sing_tol():
     for sigma, flagged in ((_SING_TOL * (1 + 1e-3), False), (_SING_TOL * (1 - 1e-3), True)):
         _, singular = assert_matches_svd_route(with_singular_values(w, [1.0, sigma], v), tol=1e-5)
         assert (singular == flagged).all()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_stack_with_a_zero_slice_takes_the_svd_route_exactly(m):
+    # the phase and closed-form routes flag nothing: a stack that may hold a
+    # singular slice is the SVD route's, factors and flags alike
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((6, m, m)) + 1j * rng.standard_normal((6, m, m))
+        mats[2] = 0.0
+        factors, singular = polar_unitary_batch(mats)
+        expected, expected_singular = svd_route(mats)
+        assert np.array_equal(factors, expected)
+        assert np.array_equal(singular, expected_singular)
+        assert np.array_equal(singular, np.arange(6) == 2)
+
+
+def test_two_by_two_stack_the_screen_declines_takes_the_svd_route_exactly():
+    w, v = haar_pairs(200, 1)
+    mats = with_singular_values(w, [1.5e-10, 1.5e-10], v)
+    factors, singular = polar_unitary_batch(mats)
+    expected, expected_singular = svd_route(mats)
+    assert np.array_equal(factors, expected)
+    assert np.array_equal(singular, expected_singular) and not singular.any()
 
 
 def test_two_by_two_zero_subnormal_and_rank_one_blocks_get_the_identity():
@@ -228,7 +252,7 @@ def test_two_by_two_factor_stays_unitary_down_to_the_sing_tol():
         assert np.abs(factors - w @ _adjoints(v)).max() <= 1e-15 / sigma
 
 
-@pytest.mark.parametrize("kwargs", [{"newton_iters": 0}, {"newton_iters": -3}])
+@pytest.mark.parametrize("kwargs", [{"newton_iters": v} for v in (0, -3, float("nan"), float("inf"), 2.5)])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         PolarConfig(**kwargs)
