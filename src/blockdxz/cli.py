@@ -186,11 +186,11 @@ def cmd_perm(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.n < 1:
-        raise _UsageError("n must be >= 1")
-    if args.seed < 0:
-        raise _UsageError("seed must be >= 0")
-    save_matrix(args.output, haar_random_unitary(RandomSpec(args.n, args.seed)))
+    try:
+        spec = RandomSpec(args.n, args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    save_matrix(args.output, haar_random_unitary(spec))
     print(args.output)
     return EXIT_OK
 

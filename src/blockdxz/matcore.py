@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +65,12 @@ class RandomSpec:
 
     n: int
     seed: int
+
+    def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def as_matrix(values) -> np.ndarray:
@@ -208,8 +215,6 @@ def block_col_sum(a, p: BlockPartition, k: int) -> np.ndarray:
 def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     R-diagonal phase correction.  Deterministic per seed."""
-    if spec.n < 1:
-        raise ValueError("haar_random_unitary needs n >= 1")
     rng = np.random.default_rng(spec.seed)
     z = (rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -234,39 +239,77 @@ def save_matrix(path, a) -> None:
         fh.write("]}")
 
 
+# the text that save_matrix writes, read as one flat list of numbers: the header,
+# then data whose non-number characters are exactly R rows of C "[, ]" pairs
+_WRITER_HEADER = re.compile(r'\{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": ')
+_DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+_DROP_BRACKETS = str.maketrans("", "", "[]")
+
+
+def _writer_layout_numbers(text: str) -> tuple[int, int, list] | None:
+    """rows, cols and the 2 * rows * cols numbers re, im, re, im, ... of text
+    laid out exactly as save_matrix writes it, or None for any other text and
+    for any number that json or int refuses, so that the general parse, and
+    its error message, decides those."""
+    header = _WRITER_HEADER.match(text)
+    if header is None or not text.endswith("]}"):
+        return None
+    try:  # ValueError: int's 4,300-digit limit, or json's number grammar (01, +1, .5, 1., 1e, -, an empty slot)
+        rows, cols = int(header[1]), int(header[2])
+        skeleton = text[header.end() : -1].translate(_DROP_NUMBER_CHARS)
+        # the length test first: a short file may declare any rows and cols
+        if len(skeleton) != 6 * rows * cols + 2 * rows:
+            return None
+        row = "[" + ", ".join(["[, ]"] * cols) + "]"
+        if skeleton != "[" + ", ".join([row] * rows) + "]":
+            return None
+        del skeleton
+        return rows, cols, json.loads("[" + text[header.end() : -1].translate(_DROP_BRACKETS) + "]")
+    except ValueError:
+        return None
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a CMAT-JSON matrix, rejecting shape mismatches and entries that are
-    not pairs of finite numbers."""
-    try:
+    not pairs of finite numbers.  Text laid out exactly as save_matrix writes
+    it is parsed as one flat list of numbers, any other text as a JSON
+    document; both end in the same number checks."""
+    try:  # ValueError: UnicodeDecodeError, JSONDecodeError and int's 4,300-digit limit
         text = Path(path).read_text(encoding="utf-8")
-        payload = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        flat = _writer_layout_numbers(text)
+        payload = json.loads(text) if flat is None else None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     # JSON true/false decode to bool, a subclass of int; text without either
-    # literal holds no bool, so large files of numbers skip the per-entry scan
-    may_hold_bool = "true" in text or "false" in text
-    del text  # from here on only the parsed lists are held
-    if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
-        raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
-    rows, cols, data = payload["rows"], payload["cols"], payload["data"]
-    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
-        raise ValueError(f"{path}: invalid dimensions rows={rows}, cols={cols}")
-    try:
-        pairs = np.array(data)
-    except ValueError as exc:  # ragged, or nested past numpy's 64 dimensions
-        raise ValueError(f"{path}: malformed entries: {exc}") from exc
-    if pairs.shape != (rows, cols, 2):
-        raise ValueError(f"{path}: data is not a {rows}x{cols} array of [re, im] pairs")
-    # the shape is valid, so data is rows lists of cols two-element lists
-    if pairs.dtype.kind == "O":  # integers beyond 64 bits keep numpy from choosing a number type
-        numbers = all(type(v) is int or type(v) is float for v in pairs.flat)
+    # literal (the writer's layout holds no letter) holds no bool, so large
+    # files of numbers skip the per-entry scan
+    may_hold_bool = flat is None and ("true" in text or "false" in text)
+    del text  # from here on only the parsed numbers are held
+    if flat is not None:
+        rows, cols, data = flat
+        values = np.array(data)
     else:
-        numbers = pairs.dtype.kind in "iuf" and not (
+        if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
+            raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
+        rows, cols, data = payload["rows"], payload["cols"], payload["data"]
+        if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
+            raise ValueError(f"{path}: invalid dimensions rows={rows}, cols={cols}")
+        try:
+            values = np.array(data)
+        except ValueError as exc:  # ragged, or nested past numpy's 64 dimensions
+            raise ValueError(f"{path}: malformed entries: {exc}") from exc
+        if values.shape != (rows, cols, 2):
+            raise ValueError(f"{path}: data is not a {rows}x{cols} array of [re, im] pairs")
+    # the shape is valid, so nested data is rows lists of cols two-element lists
+    if values.dtype.kind == "O":  # integers beyond 64 bits keep numpy from choosing a number type
+        numbers = all(type(v) is int or type(v) is float for v in values.flat)
+    else:
+        numbers = values.dtype.kind in "iuf" and not (
             may_hold_bool and any(type(v) is bool for row in data for entry in row for v in entry)
         )
     if not numbers:
         raise ValueError(f"{path}: malformed entries: re and im must be numbers, not strings, null or true/false")
     try:  # OverflowError: an integer beyond float range; ValueError: Infinity, NaN or 1e400
-        return as_matrix(pairs.astype(float, copy=False).view(complex).reshape(rows, cols))
+        return as_matrix(values.astype(float, copy=False).view(complex).reshape(rows, cols))
     except (OverflowError, ValueError) as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc

@@ -200,6 +200,9 @@ def test_usage_and_data_errors(tmp_path, u6_file):
         pytest.param({"rows": 1, "cols": 1, "data": [[[float("inf"), 0]]]}, id="infinity"),
         pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}', id="float-literal-beyond-range"),
         pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1, 0]]], "note": "\xff"}', id="not-utf-8"),
+        # json cannot turn more than 4,300 digits into an int
+        pytest.param(b'{"rows": 1, "cols": 1, "data": [[[' + b"7" * 5000 + b', 0]]]}', id="5000-digit-entry"),
+        pytest.param(b'{"rows": ' + b"1" * 5000 + b', "cols": 1, "data": [[[1, 0]]]}', id="5000-digit-rows"),
     ],
 )
 def test_malformed_cmat_is_a_data_error(tmp_path, capsys, payload):

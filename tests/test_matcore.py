@@ -13,6 +13,7 @@ from blockdxz import (
     as_matrix,
     block_col_sum,
     block_row_sum,
+    decompose,
     fourier_transform,
     haar_random_unitary,
     load_matrix,
@@ -20,6 +21,7 @@ from blockdxz import (
     save_matrix,
 )
 from blockdxz.matcore import (
+    _writer_layout_numbers,
     block_diag,
     block_grid,
     col_sums,
@@ -148,6 +150,12 @@ def test_haar_random_unitary():
     assert not np.array_equal(u, haar_random_unitary(RandomSpec(6, 43)))
     with pytest.raises(ValueError):
         haar_random_unitary(RandomSpec(0, 1))
+
+
+@pytest.mark.parametrize("n,seed", [(0, 1), (2.5, 0), (2.0, 0), (float("inf"), 0), (3, 1.5), (3, -1), (3, None)])
+def test_random_spec_rejects(n, seed):
+    with pytest.raises(ValueError):
+        RandomSpec(n, seed)
 
 
 def test_haar_first_entry_statistics():
@@ -321,6 +329,102 @@ def test_cmat_codec_memory(tmp_path):
     # a writer holding the whole payload peaks at ~15 MB here, a per-entry complex() reader at ~5.4x the file
     assert save_peak < 1e6
     assert load_peak < 5 * path.stat().st_size
+
+
+def _read(path):
+    """What load_matrix makes of a file: the exact matrix, or the error message."""
+    try:
+        a = load_matrix(path)
+    except ValueError as exc:
+        return str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _haar_factors():
+    return decompose(haar_random_unitary(RandomSpec(8, 5)), 2)
+
+
+def _perm_factors():
+    return perm_dxz(Permutation((3, 6, 1, 8, 2, 5, 7, 4)), 2)
+
+
+def _payload_text(data):
+    return json.dumps({"rows": len(data), "cols": len(data[0]), "data": data})
+
+
+# every kind of file the writer produces, and json.dumps texts of the same layout
+_WRITER_LAYOUT_TEXTS = {
+    **{f"haar-{n}": lambda n=n: haar_random_unitary(RandomSpec(n, n)) for n in (1, 2, 7, 64)},
+    **{f"decompose-{name}": lambda name=name: getattr(_haar_factors(), name) for name in "DZ"},
+    **{f"perm-{name}": lambda name=name: getattr(_perm_factors(), name) for name in "DXZ"},
+    "ints": lambda: _payload_text([[[1, 0], [0, -3]], [[7, 2], [0, 0]]]),
+    "beyond-64-bits": lambda: _payload_text([[[1.5, 0], [2**70, 0]], [[-(2**64), 3], [2**63, 1]]]),
+    "uint64-range": lambda: _payload_text([[[2**63, 1]]]),
+    "mixed-sign-uint64-range": lambda: _payload_text([[[2**63, -1]]]),
+    "signed-zeros": lambda: _payload_text([[[-0.0, -0.0], [0.0, -0.0]]]),
+    "beyond-float-range": lambda: _payload_text([[[10**400, 0]]]),
+    "1e400": lambda: '{"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}',
+}
+
+
+@pytest.mark.parametrize("make", _WRITER_LAYOUT_TEXTS.values(), ids=_WRITER_LAYOUT_TEXTS.keys())
+def test_cmat_reader_paths_agree(tmp_path, make):
+    path = tmp_path / "m.json"
+    made = make()
+    if isinstance(made, str):
+        path.write_text(made)
+    else:
+        save_matrix(path, made)
+    text = path.read_text()
+    assert _writer_layout_numbers(text) is not None
+    flat = _read(path)
+    # a trailing newline is valid JSON outside the writer's layout: the general parse reads it
+    assert _writer_layout_numbers(text + "\n") is None
+    path.write_text(text + "\n")
+    assert _read(path) == flat
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rows": 1, "cols": 2, "data": [[[01, 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[+1, 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[.5, 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[1., 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[1e, 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[-, 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[, 0], [1, 0]]]}',
+        '{"rows": 1, "cols": 2, "data": [[[1, 0]]]}',
+        '{"rows": 2, "cols": 2, "data": [[[1, 0], [1, 0]], [[1, 0]]]}',
+        '{"rows": 1, "cols": 1, "data": [[[1, 0]]]}}',
+        # one row of four pairs, padded to the length of the 2 x 2 skeleton
+        '{"rows": 2, "cols": 2, "data": [[[1, 0],  [1, 0], [1, 0],  [1, 0]]]}',
+    ],
+    ids=["leading-zero", "plus-sign", "no-integer-part", "no-fraction", "no-exponent", "lone-minus", "empty-slot",
+         "one-pair-short", "ragged", "trailing-brace", "one-row-at-the-skeleton-length"],
+)
+def test_cmat_reader_rejects_writer_layout_lookalikes(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    general = _read(path)
+    assert isinstance(general, str) and general.startswith(f"{path}: ")
+    path.write_text(text)
+    assert _writer_layout_numbers(text) is None
+    assert _read(path) == general
+
+
+def test_cmat_reader_huge_header_is_rejected_in_small_memory(tmp_path):
+    # the skeleton of 10**5 x 10**5 pairs would be 6e10 characters
+    path = tmp_path / "huge.json"
+    path.write_text('{"rows": 100000, "cols": 100000, "data": [[[1, 0]]]}')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="not a 100000x100000 array"):
+            load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_cmat_reader_rejections(tmp_path):
