@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (
-    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, line_sum_residual,
-    require_unitary, split_block_diagonal, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, block_grid,
+    line_sum_residual, require_unitary, split_block_diagonal, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch
 
@@ -54,8 +54,8 @@ class IterationConfig:
     def __post_init__(self):
         if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.psi_tol) and self.psi_tol > 0):
-            raise ValueError("psi_tol must be positive and finite")
+        if not (isinstance(self.psi_tol, numbers.Real) and math.isfinite(self.psi_tol) and self.psi_tol > 0):
+            raise ValueError(f"psi_tol must be a positive finite real number, got {self.psi_tol!r}")
 
 
 def line_sum_tolerance(psi_tol: float, n: int) -> float:
@@ -85,11 +85,10 @@ class DxzDecomposition:
 def block_trace(mat, p: BlockPartition) -> complex:
     """Sum of the traces of all r^2 blocks: entries whose row and column agree
     within their blocks."""
-    x = as_partitioned(mat, p)
     # [j, k, a] = x[jm + a, km + a]; numpy's pairwise sum keeps psi's
     # cancellation within 2 eps n^2 of its exact value at n = 256, which the
-    # running sum of an einsum over the (r, r, m, m) grid misses
-    return complex(np.diagonal(x.reshape(p.r, p.m, p.r, p.m), axis1=1, axis2=3).sum())
+    # running sum of an einsum over the grid misses
+    return complex(np.diagonal(block_grid(as_partitioned(mat, p), p), axis1=2, axis2=3).sum())
 
 
 def psi(mat, p: BlockPartition) -> float:

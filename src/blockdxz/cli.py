@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -112,7 +113,7 @@ def _write_report(args, cfg: IterationConfig, outdir: Path, digest: str, p: Bloc
     """Write <outdir>/report.json, and print it under --json.  digest is the
     input's, taken on loading: a saved factor may have overwritten it since."""
     text = json.dumps({
-        "command": " ".join(args.argv),
+        "command": shlex.join(args.argv),
         "input_digest": digest,
         "partition": {"n": p.n, "m": p.m, "r": p.r, "q": p.q},
         "config": {"max_iter": cfg.max_iter, "psi_tol": cfg.psi_tol, "polar_iters": cfg.polar.newton_iters},

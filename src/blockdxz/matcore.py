@@ -4,7 +4,8 @@ unitarity input gate, random unitaries and CMAT-JSON file I/O.
 All matrices are plain numpy arrays of dtype complex128.  Block indices in
 the public interface are 1-based (j, k = 1 .. r); a block covers consecutive
 rows and columns of the parent matrix.  This module alone knows the block
-layout; its block helpers take validated complex arrays and coerce nothing.
+layout; its block helpers take validated complex arrays and coerce nothing,
+except block_row_sum and block_col_sum, which validate through as_partitioned.
 """
 
 from __future__ import annotations
@@ -273,19 +274,16 @@ def load_matrix(path) -> np.ndarray:
     """Read a CMAT-JSON matrix, rejecting shape mismatches and entries that are
     not pairs of finite numbers.  Text laid out exactly as save_matrix writes
     it is parsed as one flat list of numbers, any other text as a JSON
-    document; both end in the same number checks."""
+    document whose every re and im must be an int or a float; both end in the
+    same finiteness check."""
     try:  # ValueError: UnicodeDecodeError, JSONDecodeError and int's 4,300-digit limit
         text = Path(path).read_text(encoding="utf-8")
         flat = _writer_layout_numbers(text)
         payload = json.loads(text) if flat is None else None
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    # JSON true/false decode to bool, a subclass of int; text without either
-    # literal (the writer's layout holds no letter) holds no bool, so large
-    # files of numbers skip the per-entry scan
-    may_hold_bool = flat is None and ("true" in text or "false" in text)
     del text  # from here on only the parsed numbers are held
-    if flat is not None:
+    if flat is not None:  # its numbers are spelled with 0-9 . e E + - alone: ints and floats
         rows, cols, data = flat
         values = np.array(data)
     else:
@@ -300,15 +298,10 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: malformed entries: {exc}") from exc
         if values.shape != (rows, cols, 2):
             raise ValueError(f"{path}: data is not a {rows}x{cols} array of [re, im] pairs")
-    # the shape is valid, so nested data is rows lists of cols two-element lists
-    if values.dtype.kind == "O":  # integers beyond 64 bits keep numpy from choosing a number type
-        numbers = all(type(v) is int or type(v) is float for v in values.flat)
-    else:
-        numbers = values.dtype.kind in "iuf" and not (
-            may_hold_bool and any(type(v) is bool for row in data for entry in row for v in entry)
-        )
-    if not numbers:
-        raise ValueError(f"{path}: malformed entries: re and im must be numbers, not strings, null or true/false")
+        # the shape is valid, so data is rows lists of cols two-element lists;
+        # JSON true/false decode to bool, which is not exactly int
+        if not all(type(v) is int or type(v) is float for row in data for entry in row for v in entry):
+            raise ValueError(f"{path}: malformed entries: re and im must be numbers, not strings, null or true/false")
     try:  # OverflowError: an integer beyond float range; ValueError: Infinity, NaN or 1e400
         return as_matrix(values.astype(float, copy=False).view(complex).reshape(rows, cols))
     except (OverflowError, ValueError) as exc:

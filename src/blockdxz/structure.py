@@ -110,11 +110,12 @@ def fourier_transform(p: BlockPartition) -> np.ndarray:
 
 def _fourier_conjugate(a: np.ndarray, p: BlockPartition, inverse: bool = False) -> np.ndarray:
     """T a T^H, or T^H a T when inverse, for T = fourier_transform(p), as
-    orthonormal FFTs along the two block axes of the (r, m, r, m) view: numpy's
+    orthonormal FFTs along the two block axes of the block grid: numpy's
     forward FFT has F_r's sign, exp(-2 pi i j k / r)."""
     left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
-    grid = a.reshape(p.r, p.m, p.r, p.m)
-    return right(left(grid, axis=0, norm="ortho"), axis=2, norm="ortho").reshape(p.n, p.n)
+    out = np.empty((p.n, p.n), dtype=complex)
+    block_grid(out, p)[...] = right(left(block_grid(a, p), axis=0, norm="ortho"), axis=1, norm="ortho")
+    return out
 
 
 def membership(mat, p: BlockPartition, group: str, tol: float) -> bool:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -396,9 +397,14 @@ def test_psi_of_a_finite_matrix_whose_trace_squares_past_the_float_range():
     assert psi(eye4_with(1e150), BlockPartition(4, 2)) == float(16 - abs(1e150 + 3) ** 2)
 
 
-@pytest.mark.parametrize("kwargs", [{"max_iter": math.inf}, {"max_iter": 2.5}, {"max_iter": 0}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iter": math.inf}, {"max_iter": 2.5}, {"max_iter": 0},
+     {"psi_tol": "1e-6"}, {"psi_tol": None}, {"psi_tol": Decimal("1e-6")}],
+)
 def test_iteration_config_requires_an_integer_budget(kwargs):
-    with pytest.raises(ValueError, match="max_iter"):
+    # psi_tol, like max_iter, is checked for its type as well as its value
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         IterationConfig(**kwargs)
     assert IterationConfig(max_iter=np.int64(3)).max_iter == 3
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -404,6 +405,14 @@ def test_report_records_the_argv_given_to_main(tmp_path, u6_file, monkeypatch):
         assert main(argv) in (EXIT_OK, EXIT_NOT_CONVERGED)
         report = json.loads((tmp_path / command / "report.json").read_text())
         assert report["command"] == " ".join(argv)
+    # a path holding a space is quoted, so the recorded command splits back into argv
+    spaced = tmp_path / "a b" / "u.json"
+    spaced.parent.mkdir()
+    spaced.write_bytes(Path(u6_file).read_bytes())
+    argv = ["decompose", str(spaced), "--m", "2", "--max-iter", "3", "-o", str(tmp_path / "out dir")]
+    assert main(argv) in (EXIT_OK, EXIT_NOT_CONVERGED)
+    report = json.loads((tmp_path / "out dir" / "report.json").read_text())
+    assert shlex.split(report["command"]) == argv
 
 
 @pytest.mark.parametrize(

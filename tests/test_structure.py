@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blockdxz import (
     BiunitaryVector,
@@ -368,11 +366,10 @@ def test_u2_parameters_examples():
         u2_parameters(np.diag([1e300, 1.0]))
 
 
-@settings(deadline=None, max_examples=200, derandomize=True)
-@given(seed=st.integers(0, 100_000))
-def test_u2_round_trip(seed):
-    u = haar_random_unitary(RandomSpec(2, seed))
-    assert np.linalg.norm(u2_matrix(u2_parameters(u)) - u) < 1e-10
+def test_u2_round_trip():
+    for seed in range(0, 100_001, 500):
+        u = haar_random_unitary(RandomSpec(2, seed))
+        assert np.linalg.norm(u2_matrix(u2_parameters(u)) - u) < 1e-10, seed
 
 
 def test_u2_closed_form_identity_case():
@@ -393,12 +390,10 @@ def test_u2_closed_form_known_angles():
     assert abs(x[:, 0].sum() - 1.0) < 1e-15
 
 
-@settings(deadline=None, max_examples=100, derandomize=True)
-@given(seed=st.integers(0, 100_000))
-def test_u2_closed_form_always_verifies(seed):
-    u = haar_random_unitary(RandomSpec(2, seed))
-    dec = u2_closed_form(u)
-    assert verify_decomposition(u, dec, 1e-9).passed
+def test_u2_closed_form_always_verifies():
+    for seed in range(0, 100_001, 1_000):
+        u = haar_random_unitary(RandomSpec(2, seed))
+        assert verify_decomposition(u, u2_closed_form(u), 1e-9).passed, seed
 
 
 def test_conjugate_inconsistency_guard():
