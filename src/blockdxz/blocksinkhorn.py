@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (
-    BlockPartition, _adjoints, _apply_left, _apply_right, as_matrix, as_partitioned, block_diag, block_grid,
-    line_sum_residual, require_unitary, split_block_diagonal, unitarity_residual,
+    BlockPartition, _adjoints, _apply_left, _apply_right, _integer_at_least, as_matrix, as_partitioned, block_diag,
+    block_grid, line_sum_residual, require_unitary, split_block_diagonal, unitarity_residual,
 )
 from .polar import PolarConfig, polar_unitary_batch
 
@@ -52,9 +52,10 @@ class IterationConfig:
     polar: PolarConfig = PolarConfig()
 
     def __post_init__(self):
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if not _integer_at_least(self.max_iter, 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (isinstance(self.psi_tol, numbers.Real) and math.isfinite(self.psi_tol) and self.psi_tol > 0):
+        tol = self.psi_tol
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
             raise ValueError(f"psi_tol must be a positive finite real number, got {self.psi_tol!r}")
 
 

@@ -52,26 +52,20 @@ def _run_on(path, run, *args):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _partition(n: int, m: int) -> BlockPartition:
+def _from_argv(make, *values):
+    """make(*values) on command-line values, whose ValueError is a usage error."""
     try:
-        return BlockPartition(n, m)
+        return make(*values)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
 def _iteration_config(args) -> IterationConfig:
-    try:
-        return IterationConfig(
-            max_iter=args.max_iter,
-            psi_tol=args.psi_tol,
-            polar=PolarConfig(newton_iters=args.polar_iters),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return _from_argv(IterationConfig, args.max_iter, args.psi_tol, _from_argv(PolarConfig, args.polar_iters))
 
 
 def _decompose(args, u: np.ndarray) -> tuple[IterationConfig, DxzDecomposition]:
-    _partition(u.shape[0], args.m)
+    _from_argv(BlockPartition, u.shape[0], args.m)
     cfg = _iteration_config(args)
     return cfg, _run_on(args.input, decompose, u, args.m, cfg)
 
@@ -157,7 +151,7 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _UsageError("tol must be finite and non-negative")
     u = load_matrix(args.u)
-    p = _partition(u.shape[0], args.m)  # a bad --m exits before D, X and Z are read
+    p = _from_argv(BlockPartition, u.shape[0], args.m)  # a bad --m exits before D, X and Z are read
     d, x, z = map(load_matrix, (args.d, args.x, args.z))
     report = verify_decomposition(u, DxzDecomposition(D=d, X=x, Z=z, partition=p), args.tol)
     if args.json:
@@ -169,12 +163,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_perm(args) -> int:
-    try:
-        perm = Permutation.from_string(" ".join(args.perm))
-        _partition(perm.n, args.m)
-        dec = perm_dxz(perm, args.m)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    perm = _from_argv(Permutation.from_string, " ".join(args.perm))
+    dec = _from_argv(perm_dxz, perm, args.m)  # a bad --m fails perm_dxz's first step, its BlockPartition
     for label, mat in (("D", dec.D), ("X", dec.X), ("Z", dec.Z)):
         print(f"{label} =")
         for row in mat.real.astype(int):
@@ -187,11 +177,7 @@ def cmd_perm(args) -> int:
 
 
 def cmd_random(args) -> int:
-    try:
-        spec = RandomSpec(args.n, args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    save_matrix(args.output, haar_random_unitary(spec))
+    save_matrix(args.output, haar_random_unitary(_from_argv(RandomSpec, args.n, args.seed)))
     print(args.output)
     return EXIT_OK
 
@@ -211,7 +197,7 @@ def cmd_conjugate(args) -> int:
     started = time.perf_counter()
     u = load_matrix(args.input)
     digest = _digest(args.input)
-    p = _partition(u.shape[0], args.m)
+    p = _from_argv(BlockPartition, u.shape[0], args.m)
     if p.q == 0:
         raise _UsageError(f"conjugate needs m < n (the core A would be 0 x 0), got m = n = {p.n}")
     cfg = _iteration_config(args)

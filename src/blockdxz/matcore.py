@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+def _integer_at_least(value, minimum: int) -> bool:
+    """Whether value is an integer >= minimum: numpy's integers are, a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Block grid of an n x n matrix: r = n/m blocks per side, each m x m."""
@@ -52,7 +57,7 @@ class BlockPartition:
     q: int = field(init=False)
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.n, self.m)):
+        if not all(_integer_at_least(v, 1) for v in (self.n, self.m)):
             raise ValueError(f"need integers n >= 1 and m >= 1, got n={self.n!r}, m={self.m!r}")
         if self.n % self.m != 0:
             raise ValueError(f"block size m={self.m} does not divide n={self.n}")
@@ -68,9 +73,9 @@ class RandomSpec:
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not _integer_at_least(self.n, 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not _integer_at_least(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 

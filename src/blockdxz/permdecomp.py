@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocksinkhorn import DxzDecomposition, psi
-from .matcore import BlockPartition, as_matrix
+from .matcore import BlockPartition, _integer_at_least, as_matrix
 
 __all__ = [
     "Permutation",
@@ -35,7 +35,8 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.image)
-        if n < 1 or sorted(self.image) != list(range(1, n + 1)):
+        entries_ok = all(_integer_at_least(v, 1) for v in self.image)
+        if n < 1 or not entries_ok or sorted(self.image) != list(range(1, n + 1)):
             raise ValueError(f"{self.image} is not a permutation of 1..{n}")
 
     @property

@@ -26,10 +26,11 @@ block then decides.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .matcore import _integer_at_least
 
 __all__ = ["PolarConfig"]
 
@@ -59,7 +60,7 @@ class PolarConfig:
     newton_iters: int = 10
 
     def __post_init__(self):
-        if not (isinstance(self.newton_iters, numbers.Integral) and self.newton_iters >= 1):
+        if not _integer_at_least(self.newton_iters, 1):
             raise ValueError(f"newton_iters must be an integer >= 1, got {self.newton_iters!r}")
 
 

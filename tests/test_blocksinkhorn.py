@@ -400,7 +400,8 @@ def test_psi_of_a_finite_matrix_whose_trace_squares_past_the_float_range():
 @pytest.mark.parametrize(
     "kwargs",
     [{"max_iter": math.inf}, {"max_iter": 2.5}, {"max_iter": 0},
-     {"psi_tol": "1e-6"}, {"psi_tol": None}, {"psi_tol": Decimal("1e-6")}],
+     {"psi_tol": "1e-6"}, {"psi_tol": None}, {"psi_tol": Decimal("1e-6")},
+     {"max_iter": True}, {"psi_tol": True}],
 )
 def test_iteration_config_requires_an_integer_budget(kwargs):
     # psi_tol, like max_iter, is checked for its type as well as its value

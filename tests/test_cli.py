@@ -398,6 +398,39 @@ def test_bad_iteration_values_are_usage_errors(tmp_path, u6_file, command, flag)
     assert main(argv) == EXIT_USAGE
 
 
+# argv with U for the n = 6 input and OUT for an output path, and the one line each writes to stderr
+_USAGE_CASES = [
+    ("random --n 0 -o OUT", "n must be an integer >= 1, got 0"),
+    ("random --n 6 --seed -1 -o OUT", "seed must be an integer >= 0, got -1"),
+    ("perm 1 1 --m 1", "(1, 1) is not a permutation of 1..2"),
+    ("perm 2 1 --m 3", "block size m=3 does not divide n=2"),
+    ("perm 1 x --m 1", "cannot parse permutation from '1 x'"),
+    ("perm 2 1 --m 0", "need integers n >= 1 and m >= 1, got n=2, m=0"),
+    ("decompose U --m 4 -o OUT", "block size m=4 does not divide n=6"),
+    ("decompose U --m 0 -o OUT", "need integers n >= 1 and m >= 1, got n=6, m=0"),
+    ("decompose U --m 2 --max-iter 0 -o OUT", "max_iter must be an integer >= 1, got 0"),
+    ("decompose U --m 2 --psi-tol nan -o OUT", "psi_tol must be a positive finite real number, got nan"),
+    ("trace U --m 2 --polar-iters 0", "newton_iters must be an integer >= 1, got 0"),
+    ("biunitary U --m 5", "block size m=5 does not divide n=6"),
+    ("conjugate U --m 6 -o OUT", "conjugate needs m < n (the core A would be 0 x 0), got m = n = 6"),
+    ("conjugate U --m 4 -o OUT", "block size m=4 does not divide n=6"),
+    ("conjugate U --m 2 --max-iter -1 -o OUT", "max_iter must be an integer >= 1, got -1"),
+    # D, X and Z do not exist: a bad --m exits before they are read
+    ("verify U D X Z --m 4", "block size m=4 does not divide n=6"),
+    ("verify U U U U --m 2 --tol -1", "tol must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_CASES, ids=[argv for argv, _ in _USAGE_CASES])
+def test_usage_errors_print_one_line(tmp_path, capsys, u6_file, argv, message):
+    out = tmp_path / "out"
+    names = {"U": u6_file, "OUT": str(out), "D": str(tmp_path / "d.json"), "X": str(tmp_path / "x.json"),
+             "Z": str(tmp_path / "z.json")}
+    assert main([names.get(arg, arg) for arg in argv.split()]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_report_records_the_argv_given_to_main(tmp_path, u6_file, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["host-program", "extra-host-arg"])
     for command in ("decompose", "conjugate"):
@@ -442,6 +475,22 @@ def test_source_has_no_assert_or_debug_read():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_source_names_integral_only_in_the_integer_rule():
+    # one rule for every integer in a spec or config, matcore._integer_at_least, which rejects bool
+    found = []
+    for path in sorted(Path(blockdxz.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if "Integral" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)):
+                found.append(f"{path.name}:{owner.get(node, '<module>')}")
+    assert found == ["matcore.py:_integer_at_least"]
 
 
 # the inputs of test_decompose_report_is_json, each with the flags its runs add

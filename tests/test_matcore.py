@@ -39,7 +39,7 @@ def test_block_partition_fields():
     assert (p.n, p.m, p.r, p.q) == (6, 2, 3, 4)
 
 
-@pytest.mark.parametrize("n,m", [(6, 4), (6, 5), (6, 0), (0, 1)])
+@pytest.mark.parametrize("n,m", [(6, 4), (6, 5), (6, 0), (0, 1), (True, 1), (4, True)])
 def test_block_partition_rejects(n, m):
     with pytest.raises(ValueError):
         BlockPartition(n, m)
@@ -150,7 +150,8 @@ def test_haar_random_unitary():
         haar_random_unitary(RandomSpec(0, 1))
 
 
-@pytest.mark.parametrize("n,seed", [(0, 1), (2.5, 0), (2.0, 0), (float("inf"), 0), (3, 1.5), (3, -1), (3, None)])
+@pytest.mark.parametrize("n,seed", [(0, 1), (2.5, 0), (2.0, 0), (float("inf"), 0), (3, 1.5), (3, -1), (3, None),
+                                    (True, 0), (3, False)])
 def test_random_spec_rejects(n, seed):
     with pytest.raises(ValueError):
         RandomSpec(n, seed)

@@ -31,6 +31,8 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
+        Permutation((True, 2))
+    with pytest.raises(ValueError):
         Permutation.from_string("1 2 x")
     perm = Permutation.from_string("5 1 2 4 6 3")
     assert perm.image == SIGMA_IMAGE

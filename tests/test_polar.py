@@ -252,7 +252,7 @@ def test_two_by_two_factor_stays_unitary_down_to_the_sing_tol():
         assert np.abs(factors - w @ _adjoints(v)).max() <= 1e-15 / sigma
 
 
-@pytest.mark.parametrize("kwargs", [{"newton_iters": v} for v in (0, -3, float("nan"), float("inf"), 2.5)])
+@pytest.mark.parametrize("kwargs", [{"newton_iters": v} for v in (0, -3, float("nan"), float("inf"), 2.5, True)])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         PolarConfig(**kwargs)
