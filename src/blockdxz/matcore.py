@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import numbers
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -230,18 +232,106 @@ def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
 
 
 # CMAT-JSON: {"rows": R, "cols": C, "data": [[[re, im], ...], ...]} row-major.
+#
+# save_matrix and the writer-layout read of load_matrix split a matrix by rows
+# into two parts.  Where _forks says so, a forked child writes or reads the
+# second part while this process does the first; otherwise the writer writes
+# every row in one call and the reader reads the two parts one after the
+# other, and the file or the matrix is the same.  json takes about 1.4 us an
+# entry to encode and 0.8 us to decode.  A fork and wait cost 1.3-2.0 ms from
+# a bare interpreter and up to 4.9 ms from one holding 120 MB, and on one core
+# the two halves cost up to a quarter more than the whole (copy-on-write
+# faults, caches).  On a 2-vCPU host, whose vCPUs run two busy processes each
+# 1.0-1.7 times slower than one alone, a 182 x 182 matrix (2**15 entries)
+# gained nothing, while at 256 x 256 a save took 94 -> 60 ms and a load
+# 52 -> 44 ms (medians of 25).  No benchmark workload has a file below the
+# rule, so re-time it there before tuning it.
+_FORK_MIN_ENTRIES = 1 << 16
+
+
+def _forks(rows: int, cols: int) -> bool:
+    """Whether a matrix of rows x cols is split with a forked child: it has two
+    or more rows and _FORK_MIN_ENTRIES entries, the platform has os.fork, and
+    this process may run on two or more CPUs where the platform says so (on one
+    CPU, a 256 x 256 load took 52-56 -> 63-70 ms and a save 95-100 -> 102-112 ms
+    when forked)."""
+    return (
+        rows >= 2
+        and rows * cols >= _FORK_MIN_ENTRIES
+        and hasattr(os, "fork")
+        and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)
+    )
+
+
+def _in_two_processes(here, there) -> tuple[object, int] | None:
+    """Run there() in a forked child while this process runs here(); return
+    what here() returned and the child's exit code, 0 when there() returned
+    True.  The child is reaped before this returns or raises.  If no child
+    can be forked, return None having run neither, and the caller runs its
+    one-process route.
+
+    Forking is safe here even while BLAS holds threads: the child runs only
+    json, str and numpy list conversion, never BLAS or LAPACK, and ends with
+    os._exit, which flushes no inherited buffer and runs no exit handler.
+    Python 3.12 and later warn (DeprecationWarning) when a multi-threaded
+    process forks; the warning is not raised as an exception under -W error."""
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare, as at a process limit
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if there() else 1
+        finally:
+            os._exit(code)
+    try:
+        done_here = here()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return done_here, os.waitstatus_to_exitcode(status)
+
+
+def _write_rows(fh, pairs: np.ndarray, start: int, stop: int) -> bool:
+    """Write rows start .. stop - 1 of the (R, C, 2) float view, each as
+    json.dumps of its list of [re, im] pairs, after ", " unless it is row 0;
+    then flush, since a forked child ends with os._exit, which flushes nothing."""
+    for i in range(start, stop):
+        fh.write((", " if i else "") + json.dumps(pairs[i].tolist()))
+    fh.flush()
+    return True
+
 
 def save_matrix(path, a) -> None:
     """Write a matrix as CMAT-JSON, one row at a time.  The text equals
     json.dumps of the whole payload, but neither that text nor the nested
-    lists of every entry are ever held at once."""
+    lists of every entry are ever held at once.  A forked child writes the
+    second half of the rows to an unlinked temporary file, which is copied
+    into place after the first half."""
     a = as_matrix(a)
     rows, cols = a.shape
     pairs = a.view(float).reshape(rows, cols, 2)
+    half = rows // 2
     with open(path, "w") as fh:
         fh.write(f'{{"rows": {rows}, "cols": {cols}, "data": [')
-        for i in range(rows):
-            fh.write((", " if i else "") + json.dumps(pairs[i].tolist()))
+        forked = None
+        if _forks(rows, cols):
+            import shutil  # imported here: this route alone needs them
+            import tempfile
+
+            with tempfile.TemporaryFile("w+") as rest:
+                forked = _in_two_processes(
+                    lambda: _write_rows(fh, pairs, 0, half), lambda: _write_rows(rest, pairs, half, rows)
+                )
+                if forked is not None:
+                    _, code = forked
+                    if code:
+                        failed = f"the process writing rows {half + 1} to {rows} failed with exit code {code}"
+                        raise OSError(f"{path}: {failed}")
+                    rest.seek(0)
+                    shutil.copyfileobj(rest, fh)
+        if forked is None:
+            _write_rows(fh, pairs, 0, rows)
         fh.write("]}")
 
 
@@ -249,30 +339,94 @@ def save_matrix(path, a) -> None:
 # then data whose non-number characters are exactly R rows of C "[, ]" pairs
 _WRITER_HEADER = re.compile(r'\{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": ')
 _DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
-_DROP_BRACKETS = str.maketrans("", "", "[]")
+# a bracket becomes a space, which json skips, so that "[1, 2]3" is not read as 1, 23
+# but as two numbers in one slot, which json refuses
+_BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
+_ROW_BOUNDARY = "]], [["
 
 
-def _writer_layout_numbers(text: str) -> tuple[int, int, list] | None:
-    """rows, cols and the 2 * rows * cols numbers re, im, re, im, ... of text
-    laid out exactly as save_matrix writes it, or None for any other text and
-    for any number that json or int refuses, so that the general parse, and
-    its error message, decides those."""
-    header = _WRITER_HEADER.match(text)
-    if header is None or not text.endswith("]}"):
+def _layout_part(part: str, rows: int, cols: int) -> np.ndarray | None:
+    """The 2 * rows * cols numbers re, im, re, im, ... of part as one array,
+    if part is rows rows of cols [re, im] pairs laid out as save_matrix writes
+    them, joined by ", ", else None.  A number that json refuses (01, +1, .5,
+    1., 1e, -, an empty slot, int's 4,300-digit limit) also gives None, so
+    that the general parse, and its error message, decides it."""
+    skeleton = part.translate(_DROP_NUMBER_CHARS)
+    # the length test first: a short file may declare any rows and cols
+    if len(skeleton) != 6 * rows * cols + 2 * max(rows - 1, 0):
         return None
-    try:  # ValueError: int's 4,300-digit limit, or json's number grammar (01, +1, .5, 1., 1e, -, an empty slot)
-        rows, cols = int(header[1]), int(header[2])
-        skeleton = text[header.end() : -1].translate(_DROP_NUMBER_CHARS)
-        # the length test first: a short file may declare any rows and cols
-        if len(skeleton) != 6 * rows * cols + 2 * rows:
-            return None
-        row = "[" + ", ".join(["[, ]"] * cols) + "]"
-        if skeleton != "[" + ", ".join([row] * rows) + "]":
-            return None
-        del skeleton
-        return rows, cols, json.loads("[" + text[header.end() : -1].translate(_DROP_BRACKETS) + "]")
+    row = "[" + ", ".join(["[, ]"] * cols) + "]"
+    if skeleton != ", ".join([row] * rows):
+        return None
+    del skeleton
+    # with brackets as spaces, two numbers in one slot fail in json, but a
+    # number next to an empty slot ("[, ]8") would fill it: refuse empty slots
+    if "[," in part or " ]" in part:
+        return None
+    try:
+        return np.array(json.loads("[" + part.translate(_BRACKETS_TO_SPACES) + "]"))
     except ValueError:
         return None
+
+
+def _fill(out: np.ndarray, numbers: np.ndarray | None) -> bool:
+    """Copy numbers into out; False if there are none or one is an integer
+    beyond float range, which the general parse then reports."""
+    if numbers is None:
+        return False
+    try:
+        out[:] = numbers
+    except OverflowError:
+        return False
+    return True
+
+
+def _writer_layout_numbers(text: str) -> np.ndarray | None:
+    """The (rows, cols, 2) array of re and im of text laid out exactly as
+    save_matrix writes it, or None for any other text and for any number that
+    json or int refuses, so that the general parse decides those.  The rows
+    are cut at a row boundary next to the middle of the text, and each part
+    is checked and parsed by _layout_part.  Where _forks says so, a forked
+    child takes the second part and leaves its numbers in an
+    anonymous shared mmap; if it fails, the general parse decides."""
+    header = _WRITER_HEADER.match(text)
+    if header is None or not text.startswith("[", header.end()) or not text.endswith("]]}"):
+        return None
+    try:  # ValueError: int's 4,300-digit limit
+        rows, cols = int(header[1]), int(header[2])
+    except ValueError:
+        return None
+    start, stop = header.end() + 1, len(text) - 2  # text[start:stop] is the rows joined by ", "
+    # the first row boundary that starts in the second half, else the last one before it
+    middle = (start + stop) // 2
+    boundary = text.find(_ROW_BOUNDARY, middle, stop)
+    if boundary < 0:
+        boundary = text.rfind(_ROW_BOUNDARY, start, middle + len(_ROW_BOUNDARY) - 1)
+    found = boundary >= 0
+    # cut is the index of the ", " between rows k - 1 and k; with no boundary, the first part is every row
+    cut = boundary + 2 if found else stop
+    k = text.count(_ROW_BOUNDARY, start, cut) + 1 if found else rows
+
+    def first():
+        return _layout_part(text[start:cut], k, cols)
+
+    def second():
+        return _layout_part(text[cut + 2 : stop], rows - k, cols)
+
+    # the child's text must hold its skeleton, so the mmap is at most 16/6 of that text's length
+    if found and k < rows and stop - cut >= 6 * (rows - k) * cols and _forks(rows, cols):
+        with mmap.mmap(-1, 16 * (rows - k) * cols) as shared:
+            forked = _in_two_processes(first, lambda: _fill(np.frombuffer(shared), second()))
+            if forked is not None:
+                head, code = forked
+                if head is None or code:
+                    return None
+                return np.concatenate((head, np.frombuffer(shared))).reshape(rows, cols, 2)
+    head = first()
+    tail = None if head is None else second()
+    if tail is None:
+        return None
+    return np.concatenate((head, tail)).reshape(rows, cols, 2)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -283,15 +437,12 @@ def load_matrix(path) -> np.ndarray:
     same finiteness check."""
     try:  # ValueError: UnicodeDecodeError, JSONDecodeError and int's 4,300-digit limit
         text = Path(path).read_text(encoding="utf-8")
-        flat = _writer_layout_numbers(text)
-        payload = json.loads(text) if flat is None else None
+        values = _writer_layout_numbers(text)
+        payload = json.loads(text) if values is None else None
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     del text  # from here on only the parsed numbers are held
-    if flat is not None:  # its numbers are spelled with 0-9 . e E + - alone: ints and floats
-        rows, cols, data = flat
-        values = np.array(data)
-    else:
+    if values is None:
         if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
             raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
         rows, cols, data = payload["rows"], payload["cols"], payload["data"]
@@ -308,6 +459,6 @@ def load_matrix(path) -> np.ndarray:
         if not all(type(v) is int or type(v) is float for row in data for entry in row for v in entry):
             raise ValueError(f"{path}: malformed entries: re and im must be numbers, not strings, null or true/false")
     try:  # OverflowError: an integer beyond float range; ValueError: Infinity, NaN or 1e400
-        return as_matrix(values.astype(float, copy=False).view(complex).reshape(rows, cols))
+        return as_matrix(values.astype(float, copy=False).view(complex).reshape(values.shape[:2]))
     except (OverflowError, ValueError) as exc:
         raise ValueError(f"{path}: malformed entries: {exc}") from exc

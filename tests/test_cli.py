@@ -56,6 +56,28 @@ def test_random_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "u.json").exists()
 
 
+def test_random_whose_save_fails_in_the_forked_child_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # a failing write in this process: the output is a directory
+    assert main(["random", "--n", "4", "-o", str(tmp_path)]) == EXIT_DATA
+    serial = capsys.readouterr().err
+    assert serial.startswith("error: ") and str(tmp_path) in serial
+    # n = 256 saves its second half in a forked child where two CPUs may run, and the child fails here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, write_rows = os.getpid(), blockdxz.matcore._write_rows
+
+    def failing_in_the_child(fh, pairs, start, stop):
+        if os.getpid() != parent:
+            raise OSError("No space left on device")
+        return write_rows(fh, pairs, start, stop)
+
+    monkeypatch.setattr(blockdxz.matcore, "_write_rows", failing_in_the_child)
+    out = tmp_path / "u.json"
+    assert main(["random", "--n", "256", "-o", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {out}: the process writing rows 129 to 256 failed with exit code 1\n"
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_decompose_command(tmp_path, u6_file, capsys):
     outdir = tmp_path / "out"
     code = main(

@@ -1,5 +1,10 @@
 import json
+import math
+import mmap
+import os
+import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from blockdxz import (
     perm_dxz,
     save_matrix,
 )
+from blockdxz import matcore
 from blockdxz.matcore import (
     _writer_layout_numbers,
     block_diag,
@@ -273,19 +279,69 @@ def _seeded(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _on_two_cpus(monkeypatch):
+    """Make this process look as if it may run on two CPUs, so that the route
+    a save or load takes does not depend on the machine the tests run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _count_forks(monkeypatch):
+    """The list that the pid of every child os.fork makes from here on is
+    appended to, on two CPUs (_on_two_cpus)."""
+    _on_two_cpus(monkeypatch)
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _take_route(monkeypatch, route):
+    """Make every save and writer-layout read take route: "forked" lowers the
+    size rule to one entry, so that a matrix of two or more rows is split with
+    a forked child; a text of one row has no row boundary to cut at, and
+    stays serial.  Returns the pids forked (_count_forks)."""
+    monkeypatch.setattr(matcore, "_FORK_MIN_ENTRIES", 1 if route == "forked" else math.inf)
+    return _count_forks(monkeypatch)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _on_both_routes(cases):
+    """Each (id, values) case once per route: the serial one under its own id, the forked one as id-forked."""
+    return [
+        pytest.param(*values, route, id=name if route == "serial" else f"{name}-forked")
+        for route in ("serial", "forked")
+        for name, values in cases
+    ]
+
+
 @pytest.mark.parametrize(
-    "mat",
-    [
-        _seeded((1, 1), 1),
-        _seeded((5, 3), 2),
-        _seeded((64, 64), 3),
-        block_diag(_seeded((8, 8, 8), 4)),
-    ],
-    ids=["1x1", "5x3", "64x64", "block-diagonal-64x64"],
+    "mat, route",
+    _on_both_routes(
+        [
+            ("1x1", [_seeded((1, 1), 1)]),
+            ("5x3", [_seeded((5, 3), 2)]),
+            ("64x64", [_seeded((64, 64), 3)]),
+            ("block-diagonal-64x64", [block_diag(_seeded((8, 8, 8), 4))]),
+            ("dense-512x512", [_seeded((512, 512), 5)]),
+        ]
+    ),
 )
-def test_cmat_writer_text_is_json_dumps_of_the_payload(tmp_path, mat):
+def test_cmat_writer_text_is_json_dumps_of_the_payload(tmp_path, monkeypatch, mat, route):
+    forks = _take_route(monkeypatch, route)
     path = tmp_path / "m.json"
     save_matrix(path, mat)
+    _no_child_left()
+    assert len(forks) == (route == "forked" and mat.shape[0] > 1)
     payload = {"rows": mat.shape[0], "cols": mat.shape[1], "data": np.stack((mat.real, mat.imag), -1).tolist()}
     assert path.read_text() == json.dumps(payload)
 
@@ -309,21 +365,67 @@ def test_cmat_reader_accepts_numbers(tmp_path, data):
     assert got.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
 
 
-def test_cmat_codec_memory(tmp_path):
+def _codec_peaks(tmp_path, monkeypatch):
+    """The memory (tracemalloc) that a 256 x 256 save and then its load take
+    at their peak, with the file's size.  A forked child's share is what it
+    allocates beyond what it inherited, taken at its own peak and added to this
+    process's peak as if both fell at once, and the anonymous mmap that the
+    child's numbers are left in is added too."""
+    children, shared = [], []
+    in_two_processes, make_mmap = matcore._in_two_processes, mmap.mmap
+
+    def measured(here, there):
+        with make_mmap(-1, 8) as box:
+
+            def there_measured():
+                inherited = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    return there()
+                finally:
+                    box[:] = (tracemalloc.get_traced_memory()[1] - inherited).to_bytes(8, "little")
+
+            done = in_two_processes(here, there_measured)
+            children.append(int.from_bytes(box[:], "little"))
+        return done
+
+    def counted_mmap(fileno, length):
+        shared.append(length)
+        return make_mmap(fileno, length)
+
+    monkeypatch.setattr(matcore, "_in_two_processes", measured)
+    monkeypatch.setattr(matcore, "mmap", types.SimpleNamespace(mmap=counted_mmap))
     path = tmp_path / "m.json"
     mat = haar_random_unitary(RandomSpec(256, 6))
     tracemalloc.start()
     try:
         save_matrix(path, mat)
-        save_peak = tracemalloc.get_traced_memory()[1]
+        save_peak = tracemalloc.get_traced_memory()[1] + sum(children)
+        children.clear()
         tracemalloc.reset_peak()
         load_matrix(path)
-        load_peak = tracemalloc.get_traced_memory()[1]
+        load_peak = tracemalloc.get_traced_memory()[1] + sum(children) + sum(shared)
     finally:
         tracemalloc.stop()
+    return save_peak, load_peak, path.stat().st_size
+
+
+def test_cmat_codec_memory(tmp_path, monkeypatch):
+    # 256 x 256 is split with a forked child at the size rule as it is: the bounds hold for both processes together
+    forks = _count_forks(monkeypatch)
+    save_peak, load_peak, size = _codec_peaks(tmp_path, monkeypatch)
+    assert len(forks) == 2
     # a writer holding the whole payload peaks at ~15 MB here, a per-entry complex() reader at ~5.4x the file
     assert save_peak < 1e6
-    assert load_peak < 5 * path.stat().st_size
+    assert load_peak < 5 * size
+
+
+def test_cmat_codec_memory_in_one_process(tmp_path, monkeypatch):
+    forks = _take_route(monkeypatch, "serial")
+    save_peak, load_peak, size = _codec_peaks(tmp_path, monkeypatch)
+    assert not forks
+    assert save_peak < 1e6
+    assert load_peak < 5 * size
 
 
 def _read(path):
@@ -362,50 +464,150 @@ _WRITER_LAYOUT_TEXTS = {
 }
 
 
-@pytest.mark.parametrize("make", _WRITER_LAYOUT_TEXTS.values(), ids=_WRITER_LAYOUT_TEXTS.keys())
-def test_cmat_reader_paths_agree(tmp_path, make):
+@pytest.mark.parametrize("make, route", _on_both_routes([(name, [make]) for name, make in _WRITER_LAYOUT_TEXTS.items()]))
+def test_cmat_reader_paths_agree(tmp_path, monkeypatch, make, route):
+    forks = _take_route(monkeypatch, route)
     path = tmp_path / "m.json"
     made = make()
     if isinstance(made, str):
         path.write_text(made)
     else:
         save_matrix(path, made)
+        _no_child_left()
     text = path.read_text()
     assert _writer_layout_numbers(text) is not None
+    _no_child_left()
     flat = _read(path)
+    _no_child_left()
+    # every text of two or more rows was cut and parsed in two processes on the forked route
+    assert bool(forks) == (route == "forked" and json.loads(text)["rows"] > 1)
     # a trailing newline is valid JSON outside the writer's layout: the general parse reads it
     assert _writer_layout_numbers(text + "\n") is None
     path.write_text(text + "\n")
     assert _read(path) == flat
+    _no_child_left()
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"rows": 1, "cols": 2, "data": [[[01, 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[+1, 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[.5, 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[1., 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[1e, 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[-, 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[, 0], [1, 0]]]}',
-        '{"rows": 1, "cols": 2, "data": [[[1, 0]]]}',
-        '{"rows": 2, "cols": 2, "data": [[[1, 0], [1, 0]], [[1, 0]]]}',
-        '{"rows": 1, "cols": 1, "data": [[[1, 0]]]}}',
-        # one row of four pairs, padded to the length of the 2 x 2 skeleton
-        '{"rows": 2, "cols": 2, "data": [[[1, 0],  [1, 0], [1, 0],  [1, 0]]]}',
-    ],
-    ids=["leading-zero", "plus-sign", "no-integer-part", "no-fraction", "no-exponent", "lone-minus", "empty-slot",
-         "one-pair-short", "ragged", "trailing-brace", "one-row-at-the-skeleton-length"],
-)
-def test_cmat_reader_rejects_writer_layout_lookalikes(tmp_path, text):
+_LOOKALIKES = [
+    ("leading-zero", '{"rows": 1, "cols": 2, "data": [[[01, 0], [1, 0]]]}'),
+    ("plus-sign", '{"rows": 1, "cols": 2, "data": [[[+1, 0], [1, 0]]]}'),
+    ("no-integer-part", '{"rows": 1, "cols": 2, "data": [[[.5, 0], [1, 0]]]}'),
+    ("no-fraction", '{"rows": 1, "cols": 2, "data": [[[1., 0], [1, 0]]]}'),
+    ("no-exponent", '{"rows": 1, "cols": 2, "data": [[[1e, 0], [1, 0]]]}'),
+    ("lone-minus", '{"rows": 1, "cols": 2, "data": [[[-, 0], [1, 0]]]}'),
+    ("empty-slot", '{"rows": 1, "cols": 2, "data": [[[, 0], [1, 0]]]}'),
+    ("one-pair-short", '{"rows": 1, "cols": 2, "data": [[[1, 0]]]}'),
+    ("ragged", '{"rows": 2, "cols": 2, "data": [[[1, 0], [1, 0]], [[1, 0]]]}'),
+    ("trailing-brace", '{"rows": 1, "cols": 1, "data": [[[1, 0]]]}}'),
+    # one row of four pairs, padded to the length of the 2 x 2 skeleton
+    ("one-row-at-the-skeleton-length", '{"rows": 2, "cols": 2, "data": [[[1, 0],  [1, 0], [1, 0],  [1, 0]]]}'),
+    # digits outside a pair, which would join the number beside them if the brackets were dropped
+    ("digit-after-a-pair", '{"rows": 1, "cols": 1, "data": [[[1, 2]3]]}'),
+    ("digit-after-a-row", '{"rows": 2, "cols": 1, "data": [[[1, 2]]3, [[2, 0]]]}'),
+    ("digit-before-the-data", '{"rows": 1, "cols": 1, "data": 5[[[1, 0]]]}'),
+    ("digit-after-an-empty-slot", '{"rows": 1, "cols": 2, "data": [[[1, ]8, [1, 0]]]}'),
+    ("digit-before-an-empty-slot", '{"rows": 2, "cols": 1, "data": [[[1, 0]], 8[[, 1]]]}'),
+]
+
+
+@pytest.mark.parametrize("text, route", _on_both_routes([(name, [text]) for name, text in _LOOKALIKES]))
+def test_cmat_reader_rejects_writer_layout_lookalikes(tmp_path, monkeypatch, text, route):
+    _take_route(monkeypatch, route)
     path = tmp_path / "bad.json"
     path.write_text(text + "\n")
     general = _read(path)
     assert isinstance(general, str) and general.startswith(f"{path}: ")
     path.write_text(text)
     assert _writer_layout_numbers(text) is None
+    _no_child_left()
     assert _read(path) == general
+    _no_child_left()
+
+
+@pytest.mark.parametrize("route", ["serial", "forked"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_cmat_reader_text_that_ends_after_the_header_is_not_valid_json(tmp_path, monkeypatch, rows, route):
+    # the writer's header and nothing after it; a trailing newline would move
+    # the error's position, so the message is spelled out, as json.loads gives it
+    _take_route(monkeypatch, route)
+    text = f'{{"rows": {rows}, "cols": 1, "data": '
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert _writer_layout_numbers(text) is None
+    assert _read(path) == f"{path}: not valid JSON: Expecting value: line 1 column 32 (char 31)"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+@pytest.mark.parametrize(
+    "bad",
+    ["01", "+1", "1e", "1" * 4301, "1" + "0" * 400],
+    ids=["leading-zero", "plus-sign", "no-exponent", "4301-digits", "beyond-float-range"],
+)
+def test_cmat_reader_refusal_in_either_half_of_a_forked_read(tmp_path, monkeypatch, bad, half):
+    # 256 x 256 is on the forked route at the size rule as it is; the parent
+    # parses rows 0-127 and the child rows 128-255
+    forks = _count_forks(monkeypatch)
+    mat = haar_random_unitary(RandomSpec(256, 7))
+    mat[60 if half == "first" else 200, 3] = 7777777.0  # no Haar entry's text holds "7777777.0"
+    path = tmp_path / "m.json"
+    save_matrix(path, mat)
+    text = path.read_text().replace("7777777.0", bad)
+    assert len(forks) == 1 and text.count(bad) >= 1
+    path.write_text(text + "\n")
+    general = _read(path)
+    assert isinstance(general, str) and general.startswith(f"{path}: ")
+    path.write_text(text)
+    assert _read(path) == general
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_cmat_codec_runs_in_one_process_when_no_child_can_be_forked(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _on_two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    mat = haar_random_unitary(RandomSpec(256, 2))
+    path = tmp_path / "m.json"
+    save_matrix(path, mat)
+    payload = {"rows": 256, "cols": 256, "data": np.stack((mat.real, mat.imag), -1).tolist()}
+    assert path.read_text() == json.dumps(payload)
+    assert load_matrix(path).tobytes() == mat.tobytes()
+    # an integer beyond float range in the second half is still the general parse's error
+    mat[200, 3] = 7777777.0
+    save_matrix(path, mat)
+    path.write_text(path.read_text().replace("7777777.0", "1" + "0" * 400))
+    assert _read(path) == f"{path}: malformed entries: int too large to convert to float"
+
+
+@pytest.mark.parametrize("cpus, forked", [({0}, False), ({0, 1}, True), ({3, 5, 6}, True)], ids=["1", "2", "3"])
+def test_cmat_codec_forks_only_with_two_or_more_cpus(tmp_path, monkeypatch, cpus, forked):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    mat = haar_random_unitary(RandomSpec(256, 3))
+    path = tmp_path / "m.json"
+    save_matrix(path, mat)
+    assert load_matrix(path).tobytes() == mat.tobytes()
+    assert len(forks) == 2 * forked
+    _no_child_left()
+
+
+def test_cmat_save_raises_when_its_forked_child_fails(tmp_path, monkeypatch):
+    _on_two_cpus(monkeypatch)
+    parent, write_rows = os.getpid(), matcore._write_rows
+
+    def failing_in_the_child(fh, pairs, start, stop):
+        if os.getpid() != parent:
+            raise OSError("No space left on device")
+        return write_rows(fh, pairs, start, stop)
+
+    monkeypatch.setattr(matcore, "_write_rows", failing_in_the_child)
+    path = tmp_path / "m.json"
+    with pytest.raises(OSError, match=re.escape(f"{path}: the process writing rows 129 to 256 failed")):
+        save_matrix(path, haar_random_unitary(RandomSpec(256, 1)))
+    _no_child_left()
 
 
 def test_cmat_reader_huge_header_is_rejected_in_small_memory(tmp_path):
