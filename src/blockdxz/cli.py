@@ -165,10 +165,11 @@ def cmd_verify(args) -> int:
 def cmd_perm(args) -> int:
     perm = _from_argv(Permutation.from_string, " ".join(args.perm))
     dec = _from_argv(perm_dxz, perm, args.m)  # a bad --m fails perm_dxz's first step, its BlockPartition
+    # each factor is a 0/1 permutation matrix: a row is the row of zeros with its one 1 spliced in
+    zeros = " 0" * dec.partition.n
     for label, mat in (("D", dec.D), ("X", dec.X), ("Z", dec.Z)):
         print(f"{label} =")
-        for row in mat.real.astype(int):
-            print("  " + " ".join(str(v) for v in row))
+        print("\n".join(f" {zeros[: 2 * k]} 1{zeros[2 * k + 2 :]}" for k in np.argmax(mat.real, axis=1).tolist()))
     # perm_dxz raises unless the factors multiply to P exactly
     print("product check D X Z = P: exact")
     if args.output:

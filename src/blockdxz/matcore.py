@@ -237,15 +237,16 @@ def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
 # into two parts.  Where _forks says so, a forked child writes or reads the
 # second part while this process does the first; otherwise the writer writes
 # every row in one call and the reader reads the two parts one after the
-# other, and the file or the matrix is the same.  json takes about 1.4 us an
-# entry to encode and 0.8 us to decode.  A fork and wait cost 1.3-2.0 ms from
-# a bare interpreter and up to 4.9 ms from one holding 120 MB, and on one core
-# the two halves cost up to a quarter more than the whole (copy-on-write
-# faults, caches).  On a 2-vCPU host, whose vCPUs run two busy processes each
-# 1.0-1.7 times slower than one alone, a 182 x 182 matrix (2**15 entries)
-# gained nothing, while at 256 x 256 a save took 94 -> 60 ms and a load
-# 52 -> 44 ms (medians of 25).  No benchmark workload has a file below the
-# rule, so re-time it there before tuning it.
+# other, and the file or the matrix is the same.  A dense matrix takes about
+# 1.2 us an entry to encode and 0.8 us to decode.  A fork and wait cost
+# 1.3-2.0 ms from a bare interpreter and up to 4.9 ms from one holding 120 MB,
+# and on one core the two halves cost up to a quarter more than the whole
+# (copy-on-write faults, caches).  On a 2-vCPU host, whose vCPUs run two busy
+# processes each 1.0-1.7 times slower than one alone, a 182 x 182 Haar matrix
+# (2**15 entries) took 41-43 -> 26-33 ms to save but 28 -> 35 ms to load when
+# forked, and a 256 x 256 one 79-80 -> 46-49 ms to save and 54 -> 37 ms to
+# load (medians of 25, Python 3.11, numpy 2.4).  No benchmark workload has a
+# file below the rule, so re-time it there before tuning it.
 _FORK_MIN_ENTRIES = 1 << 16
 
 
@@ -270,11 +271,13 @@ def _in_two_processes(here, there) -> tuple[object, int] | None:
     can be forked, return None having run neither, and the caller runs its
     one-process route.
 
-    Forking is safe here even while BLAS holds threads: the child runs only
-    json, str and numpy list conversion, never BLAS or LAPACK, and ends with
-    os._exit, which flushes no inherited buffer and runs no exit handler.
-    Python 3.12 and later warn (DeprecationWarning) when a multi-threaded
-    process forks; the warning is not raised as an exception under -W error."""
+    Forking is safe here even while BLAS holds threads: the writer's child
+    runs only % formatting and numpy list conversion, the reader's only str
+    methods, json and numpy array conversion, never BLAS or LAPACK, and each
+    ends with os._exit, which flushes no inherited buffer and runs no exit
+    handler.  Python 3.12 and later warn (DeprecationWarning) when a
+    multi-threaded process forks; the warning is not raised as an exception
+    under -W error."""
     try:
         pid = os.fork()
     except OSError:  # no process to spare, as at a process limit
@@ -292,46 +295,63 @@ def _in_two_processes(here, there) -> tuple[object, int] | None:
     return done_here, os.waitstatus_to_exitcode(status)
 
 
-def _write_rows(fh, pairs: np.ndarray, start: int, stop: int) -> bool:
-    """Write rows start .. stop - 1 of the (R, C, 2) float view, each as
-    json.dumps of its list of [re, im] pairs, after ", " unless it is row 0;
-    then flush, since a forked child ends with os._exit, which flushes nothing."""
+def _write_rows(fh, flat: np.ndarray, start: int, stop: int) -> bool:
+    """Write rows start .. stop - 1 of the (R, 2C) float view, after ", "
+    unless it is row 0, then flush, since a forked child ends with os._exit,
+    which flushes nothing.  Each row is one % format of the row template with
+    its floats from tolist(), "0.0" standing in for every part whose bits are
+    all zero (-0.0 keeps its float).  str of a finite float is its repr, the
+    text json.dumps writes, so the text equals json.dumps of the row."""
+    row = "[" + ", ".join(["[%s, %s]"] * (flat.shape[1] // 2)) + "]"
     for i in range(start, stop):
-        fh.write((", " if i else "") + json.dumps(pairs[i].tolist()))
+        entries = flat[i].tolist()
+        for k in np.flatnonzero(flat[i].view(np.uint64) == 0).tolist():
+            entries[k] = "0.0"
+        fh.write((", " if i else "") + row % tuple(entries))
     fh.flush()
+    return True
+
+
+def _write_in_two_processes(path, fh, flat: np.ndarray) -> bool:
+    """Write every row of flat to fh, a forked child writing the second half
+    to an unlinked temporary file that is copied into place after the first;
+    False, having written nothing, when no temporary file can be made (a full
+    /tmp, say) or no child forked."""
+    import shutil  # imported here: this route alone needs them
+    import tempfile
+
+    rows, half = flat.shape[0], flat.shape[0] // 2
+    try:
+        rest = tempfile.TemporaryFile("w+")
+    except OSError:
+        return False
+    with rest:
+        forked = _in_two_processes(
+            lambda: _write_rows(fh, flat, 0, half), lambda: _write_rows(rest, flat, half, rows)
+        )
+        if forked is None:
+            return False
+        _, code = forked
+        if code:
+            raise OSError(f"{path}: the process writing rows {half + 1} to {rows} failed with exit code {code}")
+        rest.seek(0)
+        shutil.copyfileobj(rest, fh)
     return True
 
 
 def save_matrix(path, a) -> None:
     """Write a matrix as CMAT-JSON, one row at a time.  The text equals
     json.dumps of the whole payload, but neither that text nor the nested
-    lists of every entry are ever held at once.  A forked child writes the
-    second half of the rows to an unlinked temporary file, which is copied
-    into place after the first half."""
+    lists of every entry are ever held at once.  Where _forks says so, a
+    forked child writes the second half of the rows (_write_in_two_processes);
+    otherwise, or if that route cannot start, this process writes them all."""
     a = as_matrix(a)
     rows, cols = a.shape
-    pairs = a.view(float).reshape(rows, cols, 2)
-    half = rows // 2
+    flat = a.view(float)
     with open(path, "w") as fh:
         fh.write(f'{{"rows": {rows}, "cols": {cols}, "data": [')
-        forked = None
-        if _forks(rows, cols):
-            import shutil  # imported here: this route alone needs them
-            import tempfile
-
-            with tempfile.TemporaryFile("w+") as rest:
-                forked = _in_two_processes(
-                    lambda: _write_rows(fh, pairs, 0, half), lambda: _write_rows(rest, pairs, half, rows)
-                )
-                if forked is not None:
-                    _, code = forked
-                    if code:
-                        failed = f"the process writing rows {half + 1} to {rows} failed with exit code {code}"
-                        raise OSError(f"{path}: {failed}")
-                    rest.seek(0)
-                    shutil.copyfileobj(rest, fh)
-        if forked is None:
-            _write_rows(fh, pairs, 0, rows)
+        if not (_forks(rows, cols) and _write_in_two_processes(path, fh, flat)):
+            _write_rows(fh, flat, 0, rows)
         fh.write("]}")
 
 

@@ -325,12 +325,22 @@ def test_perm_command(tmp_path, capsys):
 
     assert main(["perm", "1", "1", "--m", "1"]) == EXIT_USAGE
     assert main(["perm", "2 1 4 3 6 5", "--m", "3"]) == EXIT_OK
+    capsys.readouterr()
+
+    assert main(["perm", "1", "--m", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "D =\n  1\nX =\n  1\nZ =\n  1\nproduct check D X Z = P: exact\n"
 
     image = list(range(1, 65))
     random.Random(7).shuffle(image)
     assert main(["perm", *map(str, image), "--m", "8", "-o", str(tmp_path / "p64")]) == EXIT_OK
     d, x, z = (load_matrix(tmp_path / "p64" / f"{name}.json") for name in "DXZ")
     assert np.array_equal(d @ x @ z, Permutation(image).to_matrix())
+    # each factor printed entry by entry, as str() of its integer entries joined by spaces
+    printed = "".join(
+        f"{name} =\n" + "".join("  " + " ".join(str(v) for v in row) + "\n" for row in mat.real.astype(int))
+        for name, mat in zip("DXZ", (d, x, z))
+    )
+    assert capsys.readouterr().out == printed + "product check D X Z = P: exact\n"
 
 
 def test_biunitary_command(u6_file, capsys):

@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import mmap
 import os
 import re
+import tempfile
 import tracemalloc
 import types
 
@@ -310,6 +312,25 @@ def _take_route(monkeypatch, route):
     return _count_forks(monkeypatch)
 
 
+def _json_dumps_of(mat):
+    """json.dumps of mat's CMAT-JSON payload, built as one nested list."""
+    return json.dumps({"rows": mat.shape[0], "cols": mat.shape[1], "data": np.stack((mat.real, mat.imag), -1).tolist()})
+
+
+def _diagonal_with_signed_zeros():
+    mat = np.diag(_seeded(64, 6))
+    mat.imag[::3, ::3] = -0.0  # imaginary parts on the diagonal at 0, 3, 6, ... and off it
+    mat.real[::2, 1::3] = -0.0  # real parts off the diagonal, and on it at 4, 10, 16, ...
+    return mat
+
+
+def _zero_row_and_signed_zero_column():
+    mat = _seeded((5, 3), 8)
+    mat[2] = 0
+    mat[:, 1] = complex(-0.0, -0.0)
+    return mat
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -333,6 +354,11 @@ def _on_both_routes(cases):
             ("64x64", [_seeded((64, 64), 3)]),
             ("block-diagonal-64x64", [block_diag(_seeded((8, 8, 8), 4))]),
             ("dense-512x512", [_seeded((512, 512), 5)]),
+            # exact zeros are written as "0.0", a -0.0 as its float
+            ("diagonal-64x64-signed-zeros", [_diagonal_with_signed_zeros()]),
+            ("permutation-64x64", [np.eye(64, dtype=complex)[np.random.default_rng(9).permutation(64)]]),
+            ("5x3-zero-row-signed-zero-column", [_zero_row_and_signed_zero_column()]),
+            ("subnormals-beside-zeros", [np.array([[complex(5e-324, 0.0), complex(0.0, -5e-324)], [-5e-324, 0.0]])]),
         ]
     ),
 )
@@ -342,8 +368,7 @@ def test_cmat_writer_text_is_json_dumps_of_the_payload(tmp_path, monkeypatch, ma
     save_matrix(path, mat)
     _no_child_left()
     assert len(forks) == (route == "forked" and mat.shape[0] > 1)
-    payload = {"rows": mat.shape[0], "cols": mat.shape[1], "data": np.stack((mat.real, mat.imag), -1).tolist()}
-    assert path.read_text() == json.dumps(payload)
+    assert path.read_text() == _json_dumps_of(mat)
 
 
 @pytest.mark.parametrize(
@@ -365,8 +390,8 @@ def test_cmat_reader_accepts_numbers(tmp_path, data):
     assert got.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
 
 
-def _codec_peaks(tmp_path, monkeypatch):
-    """The memory (tracemalloc) that a 256 x 256 save and then its load take
+def _codec_peaks(tmp_path, monkeypatch, mat):
+    """The memory (tracemalloc) that a save of mat and then its load take
     at their peak, with the file's size.  A forked child's share is what it
     allocates beyond what it inherited, taken at its own peak and added to this
     process's peak as if both fell at once, and the anonymous mmap that the
@@ -396,7 +421,6 @@ def _codec_peaks(tmp_path, monkeypatch):
     monkeypatch.setattr(matcore, "_in_two_processes", measured)
     monkeypatch.setattr(matcore, "mmap", types.SimpleNamespace(mmap=counted_mmap))
     path = tmp_path / "m.json"
-    mat = haar_random_unitary(RandomSpec(256, 6))
     tracemalloc.start()
     try:
         save_matrix(path, mat)
@@ -413,7 +437,7 @@ def _codec_peaks(tmp_path, monkeypatch):
 def test_cmat_codec_memory(tmp_path, monkeypatch):
     # 256 x 256 is split with a forked child at the size rule as it is: the bounds hold for both processes together
     forks = _count_forks(monkeypatch)
-    save_peak, load_peak, size = _codec_peaks(tmp_path, monkeypatch)
+    save_peak, load_peak, size = _codec_peaks(tmp_path, monkeypatch, haar_random_unitary(RandomSpec(256, 6)))
     assert len(forks) == 2
     # a writer holding the whole payload peaks at ~15 MB here, a per-entry complex() reader at ~5.4x the file
     assert save_peak < 1e6
@@ -422,10 +446,19 @@ def test_cmat_codec_memory(tmp_path, monkeypatch):
 
 def test_cmat_codec_memory_in_one_process(tmp_path, monkeypatch):
     forks = _take_route(monkeypatch, "serial")
-    save_peak, load_peak, size = _codec_peaks(tmp_path, monkeypatch)
+    save_peak, load_peak, size = _codec_peaks(tmp_path, monkeypatch, haar_random_unitary(RandomSpec(256, 6)))
     assert not forks
     assert save_peak < 1e6
     assert load_peak < 5 * size
+
+
+@pytest.mark.parametrize("route", ["serial", "forked"])
+def test_cmat_codec_memory_of_a_block_diagonal_save(tmp_path, monkeypatch, route):
+    # a 256 x 256 block-diagonal (m = 8) matrix: 97 % of its entries are exact zeros
+    forks = _take_route(monkeypatch, route)
+    save_peak, _, _ = _codec_peaks(tmp_path, monkeypatch, block_diag(_seeded((32, 8, 8), 10)))
+    assert bool(forks) == (route == "forked")
+    assert save_peak < 1e6
 
 
 def _read(path):
@@ -572,8 +605,7 @@ def test_cmat_codec_runs_in_one_process_when_no_child_can_be_forked(tmp_path, mo
     mat = haar_random_unitary(RandomSpec(256, 2))
     path = tmp_path / "m.json"
     save_matrix(path, mat)
-    payload = {"rows": 256, "cols": 256, "data": np.stack((mat.real, mat.imag), -1).tolist()}
-    assert path.read_text() == json.dumps(payload)
+    assert path.read_text() == _json_dumps_of(mat)
     assert load_matrix(path).tobytes() == mat.tobytes()
     # an integer beyond float range in the second half is still the general parse's error
     mat[200, 3] = 7777777.0
@@ -592,6 +624,21 @@ def test_cmat_codec_forks_only_with_two_or_more_cpus(tmp_path, monkeypatch, cpus
     assert load_matrix(path).tobytes() == mat.tobytes()
     assert len(forks) == 2 * forked
     _no_child_left()
+
+
+def test_cmat_save_runs_in_one_process_when_no_temporary_file_can_be_made(tmp_path, monkeypatch):
+    # 256 x 256 is on the forked route at the size rule as it is, whose child writes to a temporary file
+    def no_room(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_room)
+    mat = haar_random_unitary(RandomSpec(256, 4))
+    path = tmp_path / "m.json"
+    save_matrix(path, mat)
+    assert not forks
+    _no_child_left()
+    assert path.read_text() == _json_dumps_of(mat)
 
 
 def test_cmat_save_raises_when_its_forked_child_fails(tmp_path, monkeypatch):
