@@ -466,7 +466,7 @@ def load_matrix(path) -> np.ndarray:
         if not isinstance(payload, dict) or not {"rows", "cols", "data"} <= payload.keys():
             raise ValueError(f"{path}: missing CMAT-JSON keys rows/cols/data")
         rows, cols, data = payload["rows"], payload["cols"], payload["data"]
-        if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
+        if not (_integer_at_least(rows, 1) and _integer_at_least(cols, 1)):
             raise ValueError(f"{path}: invalid dimensions rows={rows}, cols={cols}")
         try:
             values = np.array(data)

@@ -109,13 +109,12 @@ def fourier_transform(p: BlockPartition) -> np.ndarray:
 
 
 def _fourier_conjugate(a: np.ndarray, p: BlockPartition, inverse: bool = False) -> np.ndarray:
-    """T a T^H, or T^H a T when inverse, for T = fourier_transform(p), as
-    orthonormal FFTs along the two block axes of the block grid: numpy's
-    forward FFT has F_r's sign, exp(-2 pi i j k / r)."""
+    """T a T^H, or T^H a T when inverse, for T = fourier_transform(p), as orthonormal FFTs along
+    the block axes of the block grid (numpy's forward FFT has F_r's sign, exp(-2 pi i j k / r)).
+    The second FFT's array is the result: numpy 2 keeps the grid's strides, so reshape is a view."""
     left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
-    out = np.empty((p.n, p.n), dtype=complex)
-    block_grid(out, p)[...] = right(left(block_grid(a, p), axis=0, norm="ortho"), axis=1, norm="ortho")
-    return out
+    grid = right(left(block_grid(a, p), axis=0, norm="ortho"), axis=1, norm="ortho")
+    return grid.transpose(0, 2, 1, 3).reshape(p.n, p.n)
 
 
 def membership(mat, p: BlockPartition, group: str, tol: float) -> bool:
@@ -276,15 +275,8 @@ def u2_parameters(u) -> U2Parameters:
     phi = math.atan2(s, c)
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     theta = math.atan2(det.imag, det.real) / 2.0
-    if s == 0.0:
-        psi_angle = _wrap_angle(math.atan2(u[0, 0].imag, u[0, 0].real) - theta)
-        chi_angle = psi_angle
-    elif c == 0.0:
-        psi_angle = 0.0
-        chi_angle = _wrap_angle(math.atan2(u[0, 1].imag, u[0, 1].real) - theta)
-    else:
-        psi_angle = _wrap_angle(math.atan2(u[0, 0].imag, u[0, 0].real) - theta)
-        chi_angle = _wrap_angle(math.atan2(u[0, 1].imag, u[0, 1].real) - theta)
+    psi_angle = 0.0 if c == 0.0 else _wrap_angle(math.atan2(u[0, 0].imag, u[0, 0].real) - theta)
+    chi_angle = psi_angle if s == 0.0 else _wrap_angle(math.atan2(u[0, 1].imag, u[0, 1].real) - theta)
     return U2Parameters(theta=theta, phi=phi, psi=psi_angle, chi=chi_angle)
 
 

@@ -222,6 +222,9 @@ def test_usage_and_data_errors(tmp_path, u6_file):
         {"rows": 1, "cols": 1, "data": [[{"a": 1}]]},
         {"rows": 2, "cols": 2, "data": [[[1, 0], [0, 1]], [[1, 0]]]},  # ragged rows
         {"rows": 1, "cols": 2, "data": [[[1.5, 0], [10**400, 0]]]},  # beyond float range, beside a float
+        pytest.param({"rows": 2.0, "cols": 1, "data": [[[1, 0]], [[0, 1]]]}, id="float-rows"),
+        pytest.param({"rows": 1, "cols": 0, "data": [[]]}, id="zero-cols"),
+        pytest.param({"rows": -1, "cols": 1, "data": []}, id="negative-rows"),
         pytest.param({"rows": 1, "cols": 1, "data": [[[float("inf"), 0]]]}, id="infinity"),
         pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}', id="float-literal-beyond-range"),
         pytest.param(b'{"rows": 1, "cols": 1, "data": [[[1, 0]]], "note": "\xff"}', id="not-utf-8"),

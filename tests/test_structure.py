@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from blockdxz import (
     xu_from_biunitary,
     xu_to_core,
 )
+from blockdxz.matcore import block_grid
 from blockdxz.structure import _fourier_conjugate, identity_plus_core
 from refdata import SIGMA_FACTORS_M3, SIGMA_IMAGE
 
@@ -117,6 +119,34 @@ def test_fourier_conjugate_matches_dense_product(n, m):
     t = fourier_transform(p)
     assert np.linalg.norm(_fourier_conjugate(a, p) - t @ a @ t.conj().T) <= 1e-12 * n
     assert np.linalg.norm(_fourier_conjugate(a, p, inverse=True) - t.conj().T @ a @ t) <= 1e-12 * n
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fourier_conjugate_allocates_only_its_two_ffts(inverse):
+    # the result is the second FFT's own array, not a copy into an n x n scratch
+    p = BlockPartition(512, 8)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((p.n, p.n)) + 1j * rng.standard_normal((p.n, p.n))
+    left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
+
+    def bare_ffts():
+        return right(left(block_grid(a, p), axis=0, norm="ortho"), axis=1, norm="ortho")
+
+    out = _fourier_conjugate(a, p, inverse)  # warms numpy's FFT plan caches too
+    assert out.shape == (p.n, p.n) and not np.shares_memory(out, a)
+    bare = _traced_peak(bare_ffts)
+    conjugation = _traced_peak(lambda: _fourier_conjugate(a, p, inverse))
+    # slack: 1/64 of one n x n complex array; a scratch copy would add the whole array
+    assert conjugation <= bare + 16 * p.n**2 // 64, (conjugation / (16 * p.n**2), bare / (16 * p.n**2))
 
 
 def test_xu_to_core_bound_is_sqrt2_tol():
@@ -358,6 +388,13 @@ def test_u2_parameters_examples():
     params = u2_parameters(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert abs(params.phi - math.pi / 2) < 1e-15
     assert params.theta == 0.0 and params.psi == 0.0 and abs(params.chi) < 1e-15
+    # at phi = 0 chi is psi; at phi = pi/2 psi is 0: checked where both phases are non-zero
+    params = u2_parameters(np.diag(np.exp([0.7j, -0.3j])))
+    assert params.phi == 0.0 and params.chi == params.psi and abs(params.psi - 0.5) < 1e-15
+    u = np.array([[0.0, np.exp(0.9j)], [np.exp(0.3j), 0.0]])
+    params = u2_parameters(u)
+    assert params.phi == math.pi / 2 and params.psi == 0.0 and params.chi != 0.0
+    assert np.linalg.norm(u2_matrix(params) - u) < 1e-15
     with pytest.raises(ValueError):
         u2_parameters(2 * np.eye(2))
     with pytest.raises(ValueError):
