@@ -16,6 +16,7 @@ import mmap
 import numbers
 import os
 import re
+import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,14 +253,16 @@ _FORK_MIN_ENTRIES = 1 << 16
 
 def _forks(rows: int, cols: int) -> bool:
     """Whether a matrix of rows x cols is split with a forked child: it has two
-    or more rows and _FORK_MIN_ENTRIES entries, the platform has os.fork, and
-    this process may run on two or more CPUs where the platform says so (on one
-    CPU, a 256 x 256 load took 52-56 -> 63-70 ms and a save 95-100 -> 102-112 ms
-    when forked)."""
+    or more rows and _FORK_MIN_ENTRIES entries, the platform has os.fork,
+    SIGCHLD is not ignored (the kernel would then reap the child before
+    os.waitpid could), and this process may run on two or more CPUs where the
+    platform says so (on one CPU, a 256 x 256 load took 52-56 -> 63-70 ms and
+    a save 95-100 -> 102-112 ms when forked)."""
     return (
         rows >= 2
         and rows * cols >= _FORK_MIN_ENTRIES
         and hasattr(os, "fork")
+        and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
         and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)
     )
 
@@ -355,22 +358,20 @@ def save_matrix(path, a) -> None:
         fh.write("]}")
 
 
-# the text that save_matrix writes, read as one flat list of numbers: the header,
-# then data whose non-number characters are exactly R rows of C "[, ]" pairs
+# the text that save_matrix writes: the header, then data whose non-number
+# characters are exactly R rows of C "[, ]" pairs, read by json as one list of 2C numbers a row
 _WRITER_HEADER = re.compile(r'\{"rows": ([1-9][0-9]*), "cols": ([1-9][0-9]*), "data": ')
 _DROP_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
-# a bracket becomes a space, which json skips, so that "[1, 2]3" is not read as 1, 23
-# but as two numbers in one slot, which json refuses
-_BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
 _ROW_BOUNDARY = "]], [["
 
 
 def _layout_part(part: str, rows: int, cols: int) -> np.ndarray | None:
-    """The 2 * rows * cols numbers re, im, re, im, ... of part as one array,
-    if part is rows rows of cols [re, im] pairs laid out as save_matrix writes
-    them, joined by ", ", else None.  A number that json refuses (01, +1, .5,
-    1., 1e, -, an empty slot, int's 4,300-digit limit) also gives None, so
-    that the general parse, and its error message, decides it."""
+    """The 2 * rows * cols numbers re, im, re, im, ... of part as a flat array,
+    if its non-number characters are rows rows of cols "[, ]" pairs joined by
+    ", " as save_matrix writes them, else None.  json reads part with each
+    row's pairs merged into one list; the other brackets stay, so json refuses
+    what the general parse does (01, +1, .5, 1., 1e, -, an empty slot, a digit
+    outside a pair, int's 4,300-digit limit), and that parse decides it."""
     skeleton = part.translate(_DROP_NUMBER_CHARS)
     # the length test first: a short file may declare any rows and cols
     if len(skeleton) != 6 * rows * cols + 2 * max(rows - 1, 0):
@@ -379,12 +380,8 @@ def _layout_part(part: str, rows: int, cols: int) -> np.ndarray | None:
     if skeleton != ", ".join([row] * rows):
         return None
     del skeleton
-    # with brackets as spaces, two numbers in one slot fail in json, but a
-    # number next to an empty slot ("[, ]8") would fill it: refuse empty slots
-    if "[," in part or " ]" in part:
-        return None
     try:
-        return np.array(json.loads("[" + part.translate(_BRACKETS_TO_SPACES) + "]"))
+        return np.array(json.loads("[" + part.replace("], [", ", ") + "]")).reshape(-1)
     except ValueError:
         return None
 
@@ -402,13 +399,14 @@ def _fill(out: np.ndarray, numbers: np.ndarray | None) -> bool:
 
 
 def _writer_layout_numbers(text: str) -> np.ndarray | None:
-    """The (rows, cols, 2) array of re and im of text laid out exactly as
-    save_matrix writes it, or None for any other text and for any number that
-    json or int refuses, so that the general parse decides those.  The rows
-    are cut at a row boundary next to the middle of the text, and each part
-    is checked and parsed by _layout_part.  Where _forks says so, a forked
-    child takes the second part and leaves its numbers in an
-    anonymous shared mmap; if it fails, the general parse decides."""
+    """The (rows, cols, 2) array of re and im of text laid out as save_matrix
+    writes it, or None for any other text and for any text that json refuses,
+    so that the general parse (json.loads of the whole text) decides those;
+    what this accepts, that parse reads to the same bits.  The rows are cut
+    at a row boundary next to the middle of the text, and each part is
+    checked and parsed by _layout_part.  Where _forks says so, a forked child
+    takes the second part and leaves its numbers in an anonymous shared mmap;
+    if it fails, the general parse decides."""
     header = _WRITER_HEADER.match(text)
     if header is None or not text.startswith("[", header.end()) or not text.endswith("]]}"):
         return None
@@ -451,10 +449,10 @@ def _writer_layout_numbers(text: str) -> np.ndarray | None:
 
 def load_matrix(path) -> np.ndarray:
     """Read a CMAT-JSON matrix, rejecting shape mismatches and entries that are
-    not pairs of finite numbers.  Text laid out exactly as save_matrix writes
-    it is parsed as one flat list of numbers, any other text as a JSON
-    document whose every re and im must be an int or a float; both end in the
-    same finiteness check."""
+    not pairs of finite numbers.  Text laid out as save_matrix writes it is
+    read by _writer_layout_numbers, any other text as a JSON document whose
+    every re and im must be an int or a float; both end in the same
+    finiteness check."""
     try:  # ValueError: UnicodeDecodeError, JSONDecodeError and int's 4,300-digit limit
         text = Path(path).read_text(encoding="utf-8")
         values = _writer_layout_numbers(text)

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -499,6 +500,26 @@ def test_console_entry_point_exit_status(tmp_path, entry):
     assert status("random", "--n", "4", "-o", str(tmp_path / "u.json")) == EXIT_OK
     assert status("decompose", str(tmp_path / "u.json"), "--m", "3", "-o", str(tmp_path)) == EXIT_USAGE
     assert status("trace", str(tmp_path / "missing.json"), "--m", "1") == EXIT_DATA
+
+
+def test_random_with_sigchld_ignored_writes_the_default_file(tmp_path):
+    # an ignored SIGCHLD survives exec; n = 256 would save in two processes on two CPUs,
+    # and with the child reaped by the kernel os.waitpid would find none
+    src = str(Path(blockdxz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    on_two_cpus = "import os; os.sched_getaffinity = lambda pid: {0, 1}; from blockdxz.cli import run; run()"
+    out = tmp_path / "u.json"
+    done = subprocess.run(
+        [sys.executable, "-c", on_two_cpus, "random", "--n", "256", "--seed", "1", "-o", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN),
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert main(["random", "--n", "256", "--seed", "1", "-o", str(tmp_path / "default.json")]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 def test_source_has_no_assert_or_debug_read():

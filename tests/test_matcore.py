@@ -3,7 +3,9 @@ import json
 import math
 import mmap
 import os
+import random
 import re
+import signal
 import tempfile
 import tracemalloc
 import types
@@ -494,6 +496,8 @@ _WRITER_LAYOUT_TEXTS = {
     "signed-zeros": lambda: _payload_text([[[-0.0, -0.0], [0.0, -0.0]]]),
     "beyond-float-range": lambda: _payload_text([[[10**400, 0]]]),
     "1e400": lambda: '{"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}',
+    # no space before the comma but one before the bracket: the writer's characters, one moved
+    "pair-spelled-[1,8 ]": lambda: '{"rows": 2, "cols": 2, "data": [[[1,8 ], [0, 1]], [[2, 0], [-0.0,8 ]]]}',
 }
 
 
@@ -554,6 +558,60 @@ def test_cmat_reader_rejects_writer_layout_lookalikes(tmp_path, monkeypatch, tex
     assert _writer_layout_numbers(text) is None
     _no_child_left()
     assert _read(path) == general
+    _no_child_left()
+
+
+_FUZZ_NUMBERS = ["0", "7", "-3", "42", "0.0", "-0.0", "0.5", "-2.25", "1e-05", "-3e+20", "5e-324", "1.5e+308"]
+_FUZZ_CHARS = "0123456789.eE+-[], "
+
+
+def _fuzzed_writer_text(rng):
+    """A writer-layout text of 1-3 rows of 1-3 pairs of ints, exponents and
+    signed zeros after 0-3 edits, each an insert of one of _FUZZ_CHARS, a
+    delete, or a swap of two neighbouring characters; and the number of edits."""
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+
+    def pair():
+        return f"[{rng.choice(_FUZZ_NUMBERS)}, {rng.choice(_FUZZ_NUMBERS)}]"
+
+    data = ", ".join("[" + ", ".join(pair() for _ in range(cols)) + "]" for _ in range(rows))
+    text = f'{{"rows": {rows}, "cols": {cols}, "data": [{data}]}}'
+    edits = rng.randint(0, 3)
+    for _ in range(edits):
+        i, edit = rng.randrange(len(text) - 1), rng.choice(["insert", "delete", "swap"])
+        if edit == "insert":
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+    return text, edits
+
+
+def test_cmat_writer_layout_read_refuses_or_agrees_with_the_general_parse(monkeypatch):
+    # the first 300 texts on the forked route, the rest serial
+    forks = _take_route(monkeypatch, "forked")
+    rng, agreed = random.Random(38), 0
+    for i in range(6000):
+        if i == 300:
+            monkeypatch.setattr(matcore, "_FORK_MIN_ENTRIES", math.inf)
+        text, edits = _fuzzed_writer_text(rng)
+        read = _writer_layout_numbers(text)
+        try:
+            payload = json.loads(text + "\n")
+        except ValueError:
+            assert read is None, text
+            continue
+        if read is None:
+            assert edits, text
+            continue
+        general = np.array(payload["data"])
+        assert read.shape == general.shape, text
+        assert read.astype(float).tobytes() == general.astype(float).tobytes(), text
+        agreed += bool(edits)
+    # the edits left some texts in the layout: changed numbers, and pairs like [1,8 ]
+    assert agreed > 200
+    assert len(forks) > 100
     _no_child_left()
 
 
@@ -624,6 +682,22 @@ def test_cmat_codec_forks_only_with_two_or_more_cpus(tmp_path, monkeypatch, cpus
     assert load_matrix(path).tobytes() == mat.tobytes()
     assert len(forks) == 2 * forked
     _no_child_left()
+
+
+def test_cmat_codec_runs_in_one_process_when_sigchld_is_ignored(tmp_path, monkeypatch):
+    # with SIGCHLD ignored the kernel reaps each child itself, and os.waitpid would find none
+    forks = _count_forks(monkeypatch)
+    mat = haar_random_unitary(RandomSpec(256, 8))
+    path = tmp_path / "m.json"
+    default = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        save_matrix(path, mat)
+        loaded = load_matrix(path)
+    finally:
+        signal.signal(signal.SIGCHLD, default)
+    assert not forks
+    assert path.read_text() == _json_dumps_of(mat)
+    assert loaded.tobytes() == mat.tobytes()
 
 
 def test_cmat_save_runs_in_one_process_when_no_temporary_file_can_be_made(tmp_path, monkeypatch):
