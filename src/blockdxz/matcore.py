@@ -70,7 +70,8 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Seeded request for one random unitary; equal seeds give equal matrices."""
+    """Seeded request for one random unitary; equal seeds give equal matrices
+    on one numpy and LAPACK build at one BLAS thread count."""
 
     n: int
     seed: int
@@ -223,7 +224,8 @@ def block_col_sum(a, p: BlockPartition, k: int) -> np.ndarray:
 
 def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
-    R-diagonal phase correction.  Deterministic per seed."""
+    R-diagonal phase correction.  Deterministic per seed on one numpy and
+    LAPACK build at one BLAS thread count, whose QR may round differently."""
     rng = np.random.default_rng(spec.seed)
     z = (rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -237,7 +239,7 @@ def haar_random_unitary(spec: RandomSpec) -> np.ndarray:
 # save_matrix and the writer-layout read of load_matrix split a matrix by rows
 # into two parts.  Where _forks says so, a forked child writes or reads the
 # second part while this process does the first; otherwise the writer writes
-# every row in one call and the reader reads the two parts one after the
+# every row in one call and the reader reads its parts one after the
 # other, and the file or the matrix is the same.  A dense matrix takes about
 # 1.2 us an entry to encode and 0.8 us to decode.  A fork and wait cost
 # 1.3-2.0 ms from a bare interpreter and up to 4.9 ms from one holding 120 MB,
@@ -366,47 +368,40 @@ _ROW_BOUNDARY = "]], [["
 
 
 def _layout_part(part: str, rows: int, cols: int) -> np.ndarray | None:
-    """The 2 * rows * cols numbers re, im, re, im, ... of part as a flat array,
-    if its non-number characters are rows rows of cols "[, ]" pairs joined by
-    ", " as save_matrix writes them, else None.  json reads part with each
-    row's pairs merged into one list; the other brackets stay, so json refuses
-    what the general parse does (01, +1, .5, 1., 1e, -, an empty slot, a digit
-    outside a pair, int's 4,300-digit limit), and that parse decides it."""
+    """The (rows, cols, 2) float array of part if its non-number characters
+    are rows >= 1 rows of cols "[, ]" pairs joined by ", ", else None.  json
+    reads part with each row's pairs merged into one list; the other brackets
+    stay, so json and float refuse what the general parse does (01, +1, .5,
+    1., 1e, -, an empty slot, a digit outside a pair, over 4,300 digits, 10**400)."""
     skeleton = part.translate(_DROP_NUMBER_CHARS)
     # the length test first: a short file may declare any rows and cols
-    if len(skeleton) != 6 * rows * cols + 2 * max(rows - 1, 0):
+    if len(skeleton) != 6 * rows * cols + 2 * (rows - 1):
         return None
     row = "[" + ", ".join(["[, ]"] * cols) + "]"
     if skeleton != ", ".join([row] * rows):
         return None
     del skeleton
     try:
-        return np.array(json.loads("[" + part.replace("], [", ", ") + "]")).reshape(-1)
-    except ValueError:
+        return np.array(json.loads(part.replace("], [", ", ")), dtype=float).reshape(rows, cols, 2)
+    except (ValueError, OverflowError):
         return None
 
 
 def _fill(out: np.ndarray, numbers: np.ndarray | None) -> bool:
-    """Copy numbers into out; False if there are none or one is an integer
-    beyond float range, which the general parse then reports."""
-    if numbers is None:
-        return False
-    try:
-        out[:] = numbers
-    except OverflowError:
-        return False
-    return True
+    """Copy numbers, if there are any, into out."""
+    if numbers is not None:
+        out[:] = numbers.reshape(-1)
+    return numbers is not None
 
 
 def _writer_layout_numbers(text: str) -> np.ndarray | None:
-    """The (rows, cols, 2) array of re and im of text laid out as save_matrix
-    writes it, or None for any other text and for any text that json refuses,
-    so that the general parse (json.loads of the whole text) decides those;
-    what this accepts, that parse reads to the same bits.  The rows are cut
-    at a row boundary next to the middle of the text, and each part is
-    checked and parsed by _layout_part.  Where _forks says so, a forked child
-    takes the second part and leaves its numbers in an anonymous shared mmap;
-    if it fails, the general parse decides."""
+    """The (rows, cols, 2) float array of re and im of text laid out as
+    save_matrix writes it, else None, and the general parse (json.loads of the
+    whole text) decides; what this accepts, that parse reads to the same bits.
+    The rows are cut at the row boundary next to the middle into two parts of
+    one or more rows, or are one part if there is none.  Where _forks says
+    so, a forked child takes the second part and leaves its numbers in an
+    anonymous shared mmap; if it fails, the general parse decides."""
     header = _WRITER_HEADER.match(text)
     if header is None or not text.startswith("[", header.end()) or not text.endswith("]]}"):
         return None
@@ -420,10 +415,12 @@ def _writer_layout_numbers(text: str) -> np.ndarray | None:
     boundary = text.find(_ROW_BOUNDARY, middle, stop)
     if boundary < 0:
         boundary = text.rfind(_ROW_BOUNDARY, start, middle + len(_ROW_BOUNDARY) - 1)
-    found = boundary >= 0
-    # cut is the index of the ", " between rows k - 1 and k; with no boundary, the first part is every row
-    cut = boundary + 2 if found else stop
-    k = text.count(_ROW_BOUNDARY, start, cut) + 1 if found else rows
+    if boundary < 0:
+        return _layout_part(text[start:stop], rows, cols)
+    cut = boundary + 2  # the index of the ", " between rows k - 1 and k
+    k = text.count(_ROW_BOUNDARY, start, cut) + 1
+    if k >= rows:  # no declared row is left for the second part
+        return None
 
     def first():
         return _layout_part(text[start:cut], k, cols)
@@ -432,19 +429,17 @@ def _writer_layout_numbers(text: str) -> np.ndarray | None:
         return _layout_part(text[cut + 2 : stop], rows - k, cols)
 
     # the child's text must hold its skeleton, so the mmap is at most 16/6 of that text's length
-    if found and k < rows and stop - cut >= 6 * (rows - k) * cols and _forks(rows, cols):
+    if stop - cut >= 6 * (rows - k) * cols and _forks(rows, cols):
         with mmap.mmap(-1, 16 * (rows - k) * cols) as shared:
             forked = _in_two_processes(first, lambda: _fill(np.frombuffer(shared), second()))
             if forked is not None:
                 head, code = forked
                 if head is None or code:
                     return None
-                return np.concatenate((head, np.frombuffer(shared))).reshape(rows, cols, 2)
+                return np.concatenate((head, np.frombuffer(shared).reshape(rows - k, cols, 2)))
     head = first()
     tail = None if head is None else second()
-    if tail is None:
-        return None
-    return np.concatenate((head, tail)).reshape(rows, cols, 2)
+    return None if tail is None else np.concatenate((head, tail))
 
 
 def load_matrix(path) -> np.ndarray:

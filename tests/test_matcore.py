@@ -494,24 +494,29 @@ _WRITER_LAYOUT_TEXTS = {
     "uint64-range": lambda: _payload_text([[[2**63, 1]]]),
     "mixed-sign-uint64-range": lambda: _payload_text([[[2**63, -1]]]),
     "signed-zeros": lambda: _payload_text([[[-0.0, -0.0], [0.0, -0.0]]]),
-    "beyond-float-range": lambda: _payload_text([[[10**400, 0]]]),
     "1e400": lambda: '{"rows": 1, "cols": 1, "data": [[[1e400, 0]]]}',
     # no space before the comma but one before the bracket: the writer's characters, one moved
     "pair-spelled-[1,8 ]": lambda: '{"rows": 2, "cols": 2, "data": [[[1,8 ], [0, 1]], [[2, 0], [-0.0,8 ]]]}',
 }
 
 
+def _layout_text(tmp_path, make):
+    """The text of a _WRITER_LAYOUT_TEXTS case: itself, or the file save_matrix writes of its matrix."""
+    made = make()
+    if isinstance(made, str):
+        return made
+    path = tmp_path / "m.json"
+    save_matrix(path, made)
+    _no_child_left()
+    return path.read_text()
+
+
 @pytest.mark.parametrize("make, route", _on_both_routes([(name, [make]) for name, make in _WRITER_LAYOUT_TEXTS.items()]))
 def test_cmat_reader_paths_agree(tmp_path, monkeypatch, make, route):
     forks = _take_route(monkeypatch, route)
     path = tmp_path / "m.json"
-    made = make()
-    if isinstance(made, str):
-        path.write_text(made)
-    else:
-        save_matrix(path, made)
-        _no_child_left()
-    text = path.read_text()
+    text = _layout_text(tmp_path, make)
+    path.write_text(text)
     assert _writer_layout_numbers(text) is not None
     _no_child_left()
     flat = _read(path)
@@ -544,6 +549,13 @@ _LOOKALIKES = [
     ("digit-before-the-data", '{"rows": 1, "cols": 1, "data": 5[[[1, 0]]]}'),
     ("digit-after-an-empty-slot", '{"rows": 1, "cols": 2, "data": [[[1, ]8, [1, 0]]]}'),
     ("digit-before-an-empty-slot", '{"rows": 2, "cols": 1, "data": [[[1, 0]], 8[[, 1]]]}'),
+    # json reads them, but float does not: the general parse reports "int too large to convert to float"
+    ("beyond-float-range", _payload_text([[[10**400, 0]]])),
+    ("beyond-float-range-in-row-2", _payload_text([[[1, 0]], [[10**400, 0]]])),
+    # a surplus row: the row boundary next to the middle comes after both declared rows,
+    # and the first part alone would read as a 2 x 1 matrix
+    ("surplus-row", '{"rows": 2, "cols": 1, "data": [[[1, 0]], [[2222222, 0]], [[3, 0]]]}'),
+    ("surplus-row-of-equal-length", '{"rows": 2, "cols": 1, "data": [[[1, 0]], [[2, 0]], [[3, 0]]]}'),
 ]
 
 
@@ -559,6 +571,28 @@ def test_cmat_reader_rejects_writer_layout_lookalikes(tmp_path, monkeypatch, tex
     _no_child_left()
     assert _read(path) == general
     _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *[pytest.param(make, id=name) for name, make in _WRITER_LAYOUT_TEXTS.items()],
+        *[pytest.param(lambda text=text: text, id=name) for name, text in _LOOKALIKES],
+    ],
+)
+def test_cmat_writer_layout_read_is_the_same_on_both_routes(tmp_path, monkeypatch, make):
+    # None on both routes, or float64 (rows, cols, 2) arrays of the same bytes
+    text = _layout_text(tmp_path, make)
+    reads = {}
+    for route in ("serial", "forked"):
+        _take_route(monkeypatch, route)
+        read = _writer_layout_numbers(text)
+        _no_child_left()
+        reads[route] = read if read is None else (read.dtype, read.shape, read.tobytes())
+    assert reads["serial"] == reads["forked"]
+    if reads["serial"] is not None:
+        payload = json.loads(text)
+        assert reads["serial"][:2] == (np.float64, (payload["rows"], payload["cols"], 2))
 
 
 _FUZZ_NUMBERS = ["0", "7", "-3", "42", "0.0", "-0.0", "0.5", "-2.25", "1e-05", "-3e+20", "5e-324", "1.5e+308"]
@@ -677,6 +711,23 @@ def test_cmat_codec_forks_only_with_two_or_more_cpus(tmp_path, monkeypatch, cpus
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     mat = haar_random_unitary(RandomSpec(256, 3))
+    path = tmp_path / "m.json"
+    save_matrix(path, mat)
+    assert load_matrix(path).tobytes() == mat.tobytes()
+    assert len(forks) == 2 * forked
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "shape, forked",
+    [((255, 257), False), ((2, 32768), True), ((1, 65536), False)],
+    ids=["255x257", "2x32768", "1x65536"],
+)
+def test_cmat_codec_size_rule_at_its_lower_edge(tmp_path, monkeypatch, shape, forked):
+    # _FORK_MIN_ENTRIES as it is: one entry short of it, two rows at it, and one row at it
+    assert matcore._FORK_MIN_ENTRIES == 2**16
+    forks = _count_forks(monkeypatch)
+    mat = _seeded(shape, 11)
     path = tmp_path / "m.json"
     save_matrix(path, mat)
     assert load_matrix(path).tobytes() == mat.tobytes()
